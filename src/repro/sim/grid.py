@@ -9,16 +9,18 @@ sort.  None of that depends on *when* requests arrive, only on *which*
 requests run against *which* factory-fresh device — and that is shared
 by every cell that differs only in its time scale.
 
-This module lifts the kernel's solvers to a leading parameter axis:
+This module feeds a whole parameter axis through the kernel's own
+solvers:
 
 * cells are grouped by load (same filtered row set), and the filter,
   CSR columns, capacity checks, stripe expansion, per-disk stable sort,
   and ``VectorService`` plans are computed once per group;
-* the link chain and the per-disk Lindley recurrences run as one
-  ``(P, n)`` row-wise broadcast
-  (:func:`~repro.sim.kernel._solve_link_chain_grid` /
-  :func:`~repro.sim.kernel._solve_lindley_grid`), chunked over the
-  parameter axis to bound peak memory;
+* each cell is one row of a ``(P, n)`` arrival matrix, and every
+  recurrence — the link chain, the per-disk Lindley queues, the RAID-5
+  RMW fixpoint and its order-dependent service plans — solves all rows
+  in one flattened call with a restart at each row start, the same
+  implementation point replay runs as its one-row case; the parameter
+  axis is chunked (``DEFAULT_CHUNK_BYTES``) to bound peak memory;
 * per-cell outputs are assembled through the *real* samplers —
   ``_perf_series``, :class:`~repro.power.analyzer.PowerAnalyzer`
   windows, ``_frame_series`` — fed by a frozen energy source that
@@ -49,26 +51,29 @@ import numpy as np
 
 from ..config import ReplayConfig
 from ..core.timescale import TimeScaler
-from ..errors import ReplayError, StorageIOError
+from ..errors import ReplayError
 from ..power.analyzer import PowerAnalyzer
 from ..storage.array import DiskArray
 from ..storage.base import QueuedDevice, StorageDevice
+from ..storage.raid import expand_flights
 from ..trace.packed import PackedTrace
 from ..units import SECTOR_BYTES
 from .kernel import (
     KernelOutcome,
     _Computed,
     _Fallback,
-    _MAX_RMW_PASSES,
-    _NEG_INF,
+    _disk_rows,
     _columns,
-    _expand_subios,
     _frame_series,
+    _noop,
     _perf_series,
     _power_windows,
     _qualify_device,
-    _solve_lindley_grid,
-    _solve_link_chain_grid,
+    _row_restarts,
+    _service_plan,
+    _solve_link_chain,
+    _solve_rows,
+    _solve_two_phase,
     _tick_boundaries,
 )
 
@@ -189,24 +194,19 @@ class _FrozenMeter:
         return total
 
 
-def _noop() -> None:
-    return None
-
-
 @dataclass
 class _MemberPlan:
-    """One member disk's shared (time-independent) service plan.
+    """One member's shared (time-independent) service plan.
 
-    ``seconds``/``watts`` are ``None`` on the RAID-5 RMW path: there the
-    serving order (hence the seek/stream-dependent service plan) varies
-    per cell, so plans are derived per arrival-order class inside
-    :func:`_solve_array_chunk_rmw` instead of once per group.
+    Single-phase only: on the RAID-5 RMW path the serving order (hence
+    the seek/stream-dependent plan) varies per cell, and
+    :func:`~repro.sim.kernel._solve_two_phase` plans each cell's order
+    itself.
     """
 
     rows: np.ndarray  # sub-I/O indices served by this disk, plan order
-    seconds: Optional[np.ndarray]
-    watts: Optional[np.ndarray]
-    base_watts: float
+    seconds: np.ndarray
+    watts: np.ndarray
 
 
 @dataclass
@@ -215,25 +215,24 @@ class _MemberBatch:
     when the member served nothing).
 
     Columns are in the member's *serving* (arrival) order.  On the
-    read/single-phase path that order is shared by every cell, so one
-    ``watts`` row serves the whole chunk; on the RMW path each cell may
-    serve in a different order and ``watts2d`` carries per-cell rows.
+    read/single-phase path that order is shared by every cell, so
+    ``watts`` is one ``(k,)`` row for the whole chunk; on the RMW path
+    each cell may serve in a different order and ``watts`` is ``(P, k)``.
     """
 
     starts2d: np.ndarray  # (P, k) segment starts, serving order
     fin2d: np.ndarray  # (P, k) segment ends
-    watts: np.ndarray  # (k,) shared across cells (empty when per-cell)
+    watts: np.ndarray  # (k,) shared across cells, or (P, k) per cell
     cum2d: np.ndarray  # (P, k + 1) seeded excess prefix sums
     base_watts: float
     submit2d: np.ndarray  # (P, k) member arrival instants
-    watts2d: Optional[np.ndarray] = None  # (P, k) per-cell Watts rows
 
     @property
     def served(self) -> bool:
         return self.fin2d.size > 0
 
     def cell_watts(self, i: int) -> np.ndarray:
-        return self.watts2d[i] if self.watts2d is not None else self.watts
+        return self.watts[i] if self.watts.ndim == 2 else self.watts
 
 
 def evaluate_grid_cells(
@@ -243,7 +242,6 @@ def evaluate_grid_cells(
     *,
     config: Optional[ReplayConfig] = None,
     stream_interval: Optional[float] = None,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     capture: bool = False,
 ) -> List[CellEval]:
     """Evaluate ``cells`` against ``device`` with the fused kernel.
@@ -289,8 +287,7 @@ def evaluate_grid_cells(
         for load in group_order:
             _evaluate_group(
                 trace, device, load, groups[load], cells, evals,
-                session=session, slog=slog, cfg=cfg, chunk_bytes=chunk_bytes,
-                capture=capture,
+                session=session, slog=slog, cfg=cfg, capture=capture,
             )
     finally:
         session.config = cfg
@@ -308,7 +305,6 @@ def _evaluate_group(
     session,
     slog,
     cfg: ReplayConfig,
-    chunk_bytes: int,
     capture: bool = False,
 ) -> None:
     def refuse(reason: str) -> None:
@@ -354,61 +350,32 @@ def _evaluate_group(
             link_overhead = device.enclosure.controller_overhead
             link_prev = device._link_busy_until
             payload = nbytes / device.enclosure.link_rate
-            exp = _expand_subios(geom, sectors, nbytes, ops)
+            exp = expand_flights(geom, sectors, nbytes, ops)
             total = exp.total
             rmw = exp.has_pre
-            order = np.argsort(exp.disk, kind="stable")
-            disk_sorted = exp.disk[order]
-            cuts = np.searchsorted(
-                disk_sorted, np.arange(len(members) + 1, dtype=np.int64)
-            )
-            for di, disk in enumerate(members):
-                lo, hi = int(cuts[di]), int(cuts[di + 1])
-                if lo == hi:
+            for disk, rows in zip(members, _disk_rows(exp.disk, len(members))):
+                if rows.size:
+                    sub_end = exp.sector[rows] + -(
+                        -exp.nbytes[rows] // SECTOR_BYTES
+                    )
+                    if int(sub_end.max()) > disk.capacity_sectors:
+                        raise _Fallback(f"{disk.name}: request beyond capacity")
+                if rmw or not rows.size:
                     plans.append(None)
                     continue
-                rows = order[lo:hi]
-                sub_end = exp.sector[rows] + -(
-                    -exp.nbytes[rows] // SECTOR_BYTES
+                svc = _service_plan(
+                    disk, exp.sector[rows], exp.nbytes[rows], exp.op[rows]
                 )
-                if int(sub_end.max()) > disk.capacity_sectors:
-                    raise _Fallback(f"{disk.name}: request beyond capacity")
-                if rmw:
-                    # Serving order — and with it the seek/stream-
-                    # dependent service plan — varies per cell on the
-                    # RMW path; plans are built per arrival-order class
-                    # in the chunk solver.
-                    plans.append(
-                        _MemberPlan(
-                            rows, None, None, disk.timeline._base_watts[0]
-                        )
-                    )
-                    continue
-                try:
-                    svc = disk.service_times(
-                        exp.sector[rows], exp.nbytes[rows], exp.op[rows]
-                    )
-                except StorageIOError as exc:
-                    raise _Fallback(str(exc))
-                plans.append(
-                    _MemberPlan(
-                        rows, svc.seconds, svc.watts,
-                        disk.timeline._base_watts[0],
-                    )
-                )
+                plans.append(_MemberPlan(rows, svc.seconds, svc.watts))
         else:
-            try:
-                svc = device.service_times(sectors, nbytes, ops)  # type: ignore[union-attr]
-            except StorageIOError as exc:
-                raise _Fallback(str(exc))
+            svc = _service_plan(device, sectors, nbytes, ops)  # type: ignore[arg-type]
             end_sectors = sectors + -(-nbytes // SECTOR_BYTES)
             if int(end_sectors.max()) > device.capacity_sectors:
                 raise _Fallback(f"{device.name}: request beyond capacity")
+            total = int(nbytes.size)
             plans.append(
                 _MemberPlan(
-                    np.arange(nbytes.size, dtype=np.int64),
-                    svc.seconds, svc.watts,
-                    device.timeline._base_watts[0],  # type: ignore[union-attr]
+                    np.arange(total, dtype=np.int64), svc.seconds, svc.watts
                 )
             )
     except _Fallback as exc:
@@ -429,17 +396,15 @@ def _evaluate_group(
     si = session.stream_interval
     cycle = float(cfg.sampling_cycle)
 
-    # Chunk the parameter axis so the working set stays bounded: the
-    # dominant per-cell float64 rows are ~7 over the sub-I/O axis plus
-    # the flight/event-order and bunch-time rows.  The RMW solver also
-    # holds per-cell serving orders, Watts rows, and the serving-order
-    # segment columns, roughly doubling the sub-I/O-axis footprint.
-    if is_array:
-        sub_rows = 14 if rmw else 7
-        per_cell = 8 * (sub_rows * total + 10 * n_pkgs + 2 * n_bunches)
-    else:
-        per_cell = 8 * (8 * n_pkgs + 2 * n_bunches)
-    step = max(1, int(chunk_bytes // max(per_cell, 1)))
+    # Chunk the parameter axis so the working set stays bounded.  Per
+    # cell the solvers hold about nine rows over the sub-I/O axis (each
+    # member's serving order, arrivals, starts, finishes, Watts and
+    # excess prefix sums, the plan-order finishes, and the RMW
+    # fixpoint's plan memo and pass arrivals), about ten over the
+    # package axis (dispatch, link, flight finishes and completion-order
+    # columns) and two over the bunch axis.
+    per_cell = 8 * (9 * total + 10 * n_pkgs + 2 * n_bunches)
+    step = max(1, int(DEFAULT_CHUNK_BYTES // per_cell))
 
     for at in range(0, len(indices), step):
         chunk = indices[at:at + step]
@@ -464,16 +429,10 @@ def _evaluate_group(
         ]
         submit2d = np.repeat(times2d, reps, axis=1)
 
-        if is_array and rmw:
-            solved = _solve_array_chunk_rmw(
-                device, members, plans, submit2d, link_overhead, link_prev,
-                payload, exp, nbytes, cell_reason,
-            )
-        elif is_array:
+        if is_array:
             solved = _solve_array_chunk(
                 device, members, plans, submit2d, link_overhead, link_prev,
-                payload, exp.sub_flight, exp.flight_offsets, total, nbytes,
-                cell_reason,
+                payload, exp, nbytes, cell_reason,
             )
         else:
             solved = _solve_single_chunk(
@@ -619,39 +578,37 @@ def _cell_capture(
     )
 
 
-def _lindley_batch(
+def _member_batch(
     member_name: str,
-    arrivals2d: np.ndarray,
-    plan: _MemberPlan,
+    submit2d: np.ndarray,
+    fin2d: np.ndarray,
+    watts: np.ndarray,
+    base_watts: float,
     cell_reason: List[Optional[str]],
 ) -> _MemberBatch:
-    """Solve one member's FCFS batch and freeze its power columns.
+    """Freeze one member's solved FCFS rows as power columns.
 
     Marks cells whose schedule the closed form cannot commit exactly
     (non-monotone finishes, or zero-length power segments that the real
     timeline would drop, desynchronising the frozen arrays) in
     ``cell_reason`` — first member wins, matching the per-point order.
     """
-    n_cells, k = arrivals2d.shape
-    fin2d = _solve_lindley_grid(arrivals2d, plan.seconds)
-    if k > 1:
-        mono_bad = np.any(np.diff(fin2d, axis=1) < 0, axis=1)
-    else:
-        mono_bad = np.zeros(n_cells, dtype=bool)
+    n_cells = submit2d.shape[0]
     starts2d = np.maximum(
-        arrivals2d,
+        submit2d,
         np.concatenate(
-            (np.full((n_cells, 1), _NEG_INF), fin2d[:, :-1]), axis=1
+            (np.full((n_cells, 1), -np.inf), fin2d[:, :-1]), axis=1
         ),
     )
     dur2d = fin2d - starts2d
+    mono_bad = np.any(fin2d[:, 1:] < fin2d[:, :-1], axis=1)
     zero_bad = np.any(dur2d <= 0.0, axis=1)
     for i in range(n_cells):
         if cell_reason[i] is None and bool(mono_bad[i]):
             cell_reason[i] = f"{member_name}: non-monotone completion schedule"
         if cell_reason[i] is None and bool(zero_bad[i]):
             cell_reason[i] = f"{member_name}: zero-length power segment"
-    excess2d = plan.watts * dur2d - plan.base_watts * dur2d
+    excess2d = watts * dur2d - base_watts * dur2d
     cum2d = np.concatenate(
         (
             np.zeros((n_cells, 1), dtype=np.float64),
@@ -662,10 +619,10 @@ def _lindley_batch(
     return _MemberBatch(
         starts2d=starts2d,
         fin2d=fin2d,
-        watts=plan.watts,
+        watts=watts,
         cum2d=cum2d,
-        base_watts=plan.base_watts,
-        submit2d=arrivals2d,
+        base_watts=base_watts,
+        submit2d=submit2d,
     )
 
 
@@ -677,13 +634,16 @@ def _solve_single_chunk(
     cell_reason: List[Optional[str]],
 ):
     """Batch-solve one chunk of cells against a single queued device."""
-    batch = _lindley_batch(device.name, submit2d, plan, cell_reason)
+    fin2d = _solve_rows(submit2d, plan.seconds)
+    batch = _member_batch(
+        device.name, submit2d, fin2d, plan.watts,
+        device.timeline._base_watts[0], cell_reason,
+    )
     if all(r is not None for r in cell_reason):
         return None
     # Single-server FIFO completes in row order; responses and the byte
     # column stay in the shared request order.
-    resp2d = batch.fin2d - submit2d
-    return batch.fin2d, resp2d, nbytes, [batch], None
+    return fin2d, fin2d - submit2d, nbytes, [batch], None
 
 
 def _solve_array_chunk(
@@ -694,13 +654,18 @@ def _solve_array_chunk(
     link_overhead: float,
     link_prev: float,
     payload: np.ndarray,
-    sub_flight: np.ndarray,
-    flight_offsets: np.ndarray,
-    total: int,
+    exp,
     nbytes: np.ndarray,
     cell_reason: List[Optional[str]],
 ):
     """Batch-solve one chunk of cells against a disk array.
+
+    The link chain is one flattened solve with a restart per cell.  On
+    the single-phase path every cell serves each member in plan order,
+    so one shared service plan feeds a flattened Lindley solve per
+    member; with RMW barriers the cells go through the two-phase
+    fixpoint (:func:`~repro.sim.kernel._solve_two_phase`) as its P rows,
+    and its per-row decline reasons join ``cell_reason``.
 
     Returns ``(fin_ev2d, resp_ev2d, bytes_ev2d, batches, overhead)`` or
     ``None`` when every cell of the chunk was marked unfused via
@@ -709,31 +674,47 @@ def _solve_array_chunk(
     meter accumulates exactly like the real
     :class:`~repro.power.model.EnergyMeter`.
     """
-    n_cells = submit2d.shape[0]
-    d2d, _link2d = _solve_link_chain_grid(
-        submit2d, link_overhead, payload, link_prev
-    )
-    arrivals2d = d2d[:, sub_flight]
-    sub_fin2d = np.empty((n_cells, total), dtype=np.float64)
+    n_cells, n_pkgs = submit2d.shape
+    d2d = _solve_link_chain(
+        submit2d.ravel(), link_overhead, np.tile(payload, n_cells), link_prev,
+        _row_restarts(n_cells, n_pkgs),
+    )[0].reshape(n_cells, n_pkgs)
     batches: List[_MemberBatch] = []
-    for di, plan in enumerate(plans):
-        if plan is None:
+    if exp.has_pre:
+        sub_fin2d, served, reasons = _solve_two_phase(device, exp, d2d)
+        for i, reason in enumerate(reasons):
+            if cell_reason[i] is None:
+                cell_reason[i] = reason
+        columns = [
+            None if s is None else (s.submit, s.fin, s.watts) for s in served
+        ]
+    else:
+        arrivals2d = d2d.take(exp.sub_flight, axis=1)
+        sub_fin2d = np.empty((n_cells, exp.total), dtype=np.float64)
+        columns = []
+        for plan in plans:
+            if plan is None:
+                columns.append(None)
+                continue
+            a2d = arrivals2d.take(plan.rows, axis=1)
+            fin2d = _solve_rows(a2d, plan.seconds)
+            sub_fin2d[:, plan.rows] = fin2d
+            columns.append((a2d, fin2d, plan.watts))
+    for member, cols in zip(members, columns):
+        base_watts = member.timeline._base_watts[0]
+        if cols is None:
             batches.append(
-                _MemberBatch(
-                    _EMPTY, _EMPTY, _EMPTY, _CUM_SEED,
-                    members[di].timeline._base_watts[0], _EMPTY,
-                )
+                _MemberBatch(_EMPTY, _EMPTY, _EMPTY, _CUM_SEED, base_watts, _EMPTY)
             )
-            continue
-        a2d = np.ascontiguousarray(arrivals2d[:, plan.rows])
-        batch = _lindley_batch(members[di].name, a2d, plan, cell_reason)
-        sub_fin2d[:, plan.rows] = batch.fin2d
-        batches.append(batch)
+        else:
+            batches.append(
+                _member_batch(member.name, *cols, base_watts, cell_reason)
+            )
     if all(r is not None for r in cell_reason):
         return None
 
     fin_ev2d, resp_ev2d, bytes_ev2d = _flight_completions(
-        sub_fin2d, flight_offsets, submit2d, nbytes, cell_reason
+        sub_fin2d, exp.flight_offsets, submit2d, nbytes, cell_reason
     )
     return fin_ev2d, resp_ev2d, bytes_ev2d, batches, (
         device.enclosure.non_disk_watts
@@ -749,10 +730,9 @@ def _flight_completions(
 ):
     """Reduce sub-I/O finishes to completion-event-order flight columns.
 
-    Shared tail of both array chunk solvers: a flight completes when its
-    last sub-I/O finishes; tied flight completions cannot be reproduced
-    (the monitor's accumulation order would depend on event sequence
-    numbers) and mark the cell unfused.
+    A flight completes when its last sub-I/O finishes; tied flight
+    completions cannot be reproduced (the monitor's accumulation order
+    would depend on event sequence numbers) and mark the cell unfused.
     """
     n_cells = sub_fin2d.shape[0]
     fl_fin2d = np.maximum.reduceat(sub_fin2d, flight_offsets[:-1], axis=1)
@@ -767,216 +747,6 @@ def _flight_completions(
     resp_ev2d = np.take_along_axis(fl_fin2d - submit2d, comp_order2d, axis=1)
     bytes_ev2d = nbytes[comp_order2d]
     return fin_ev2d, resp_ev2d, bytes_ev2d
-
-
-def _solve_array_chunk_rmw(
-    device: DiskArray,
-    members: List[QueuedDevice],
-    plans: List[Optional[_MemberPlan]],
-    submit2d: np.ndarray,
-    link_overhead: float,
-    link_prev: float,
-    payload: np.ndarray,
-    exp,
-    nbytes: np.ndarray,
-    cell_reason: List[Optional[str]],
-):
-    """Batch-solve a chunk of cells whose expansion carries RMW barriers.
-
-    The two-phase fixpoint of :func:`~repro.sim.kernel._solve_two_phase`
-    lifted to the parameter axis.  Post-write arrival instants feed back
-    into each member's serving order, and the order determines the
-    seek/stream-dependent service plan — so unlike the single-phase
-    path there is no chunk-wide shared ``VectorService``.  Instead, each
-    pass evaluates whole ``(P, k)`` matrices: per-cell serving orders
-    come from one ``argsort``, per-cell service plans from the members'
-    ``service_times_grid`` 2-D mirrors (row-wise bit-identical to
-    ``service_times`` on that row's sequence), and the queue recurrence
-    from :func:`~repro.sim.kernel._solve_lindley_grid` with a per-row
-    service matrix — no per-cell Python loop anywhere in the pass.
-    Convergence is tracked per row (exact float equality of the
-    post-arrival vector); a converged row is a fixpoint of a
-    deterministic map, so re-solving it can never change it — each pass
-    only touches the still-active rows and the chunk's cost decays with
-    convergence.  Rows that fail to converge — or that tie in a way
-    only event sequence numbers could break — are marked in
-    ``cell_reason`` and handed back for per-point replay, while the
-    converged rows stay fused.
-    """
-    n_cells = submit2d.shape[0]
-    total = exp.total
-    sub_flight = exp.sub_flight
-    has_pre = exp.pre_counts > 0
-    pre_flights = np.flatnonzero(has_pre)
-    pre_idx = np.flatnonzero(exp.is_pre)
-    pre_seg = np.concatenate(
-        ([0], np.cumsum(exp.pre_counts[pre_flights])[:-1])
-    ).astype(np.int64)
-    post_mask = ~exp.is_pre & has_pre[sub_flight]
-    post_at = sub_flight[post_mask]
-
-    d2d, _link2d = _solve_link_chain_grid(
-        submit2d, link_overhead, payload, link_prev
-    )
-    base_arr2d = d2d[:, sub_flight]
-    post2d = d2d.copy()
-    arrivals2d = base_arr2d.copy()
-    sub_fin2d = np.empty((n_cells, total), dtype=np.float64)
-    # Full-size per-member state, written only for active rows each pass
-    # (frozen rows keep their fixpoint values for assembly below).
-    ord_full: List[Optional[np.ndarray]] = [None] * len(plans)
-    fin_sorted: List[Optional[np.ndarray]] = [None] * len(plans)
-    watts_sorted: List[Optional[np.ndarray]] = [None] * len(plans)
-    for di, plan in enumerate(plans):
-        if plan is None:
-            continue
-        if not hasattr(members[di], "service_times_grid"):
-            reason = f"{members[di].name}: no vectorized grid service model"
-            for i in range(n_cells):
-                if cell_reason[i] is None:
-                    cell_reason[i] = reason
-            return None
-        k = int(plan.rows.size)
-        ord_full[di] = np.empty((n_cells, k), dtype=np.int64)
-        fin_sorted[di] = np.empty((n_cells, k), dtype=np.float64)
-        watts_sorted[di] = np.empty((n_cells, k), dtype=np.float64)
-    converged = np.zeros(n_cells, dtype=bool)
-    act = np.arange(n_cells)
-    for _ in range(_MAX_RMW_PASSES):
-        arr_act = base_arr2d[act].copy()
-        arr_act[:, post_mask] = post2d[np.ix_(act, post_at)]
-        arrivals2d[act] = arr_act
-        for di, plan in enumerate(plans):
-            if plan is None:
-                continue
-            rows = plan.rows
-            a2d = np.ascontiguousarray(arr_act[:, rows])
-            ord2d = np.argsort(a2d, axis=1, kind="stable")
-            ord_full[di][act] = ord2d
-            a_sorted = np.take_along_axis(a2d, ord2d, axis=1)
-            perm2d = rows[ord2d]
-            try:
-                sec2d, w2d = members[di].service_times_grid(
-                    exp.sector[perm2d], exp.nbytes[perm2d], exp.op[perm2d]
-                )
-            except StorageIOError as exc:
-                reason = str(exc)
-                for i in act.tolist():
-                    if cell_reason[i] is None:
-                        cell_reason[i] = reason
-                fin_srt = a_sorted  # placeholder; cells already unfused
-                w2d = np.zeros_like(a_sorted)
-            else:
-                fin_srt = _solve_lindley_grid(a_sorted, sec2d)
-            fin_sorted[di][act] = fin_srt
-            watts_sorted[di][act] = w2d
-            sub_fin2d[act[:, None], perm2d] = fin_srt
-        new_post = d2d[act].copy()
-        new_post[:, pre_flights] = np.maximum.reduceat(
-            sub_fin2d[np.ix_(act, pre_idx)], pre_seg, axis=1
-        )
-        row_done = np.all(new_post == post2d[act], axis=1)
-        post2d[act] = new_post
-        converged[act[row_done]] = True
-        # Unfused rows (service errors) stop iterating too — nothing
-        # downstream reads their values.
-        dead = np.array(
-            [cell_reason[i] is not None for i in act.tolist()], dtype=bool
-        )
-        act = act[~(row_done | dead)]
-        if not act.size:
-            break
-    for i in range(n_cells):
-        if cell_reason[i] is None and not bool(converged[i]):
-            cell_reason[i] = "rmw barrier schedule did not converge"
-
-    # Arrival-tie taxonomy — same rule as the 1-D solver: cross-flight
-    # ties at a member are deterministic only when a completion-issued
-    # post precedes a dispatch-issued sub-I/O.
-    for di, plan in enumerate(plans):
-        if plan is None or plan.rows.size < 2:
-            continue
-        rows = plan.rows
-        ord2d = ord_full[di]
-        a_sorted = np.take_along_axis(
-            np.ascontiguousarray(arrivals2d[:, rows]), ord2d, axis=1
-        )
-        perm2d = rows[ord2d]
-        fl = sub_flight[perm2d]
-        pm = post_mask[perm2d]
-        tied = a_sorted[:, 1:] == a_sorted[:, :-1]
-        cross = fl[:, 1:] != fl[:, :-1]
-        benign = pm[:, :-1] & ~pm[:, 1:]
-        bad = np.any(tied & cross & ~benign, axis=1)
-        for i in np.flatnonzero(bad).tolist():
-            if cell_reason[i] is None:
-                cell_reason[i] = "tied sub-I/O arrival times"
-    if all(r is not None for r in cell_reason):
-        return None
-
-    batches: List[_MemberBatch] = []
-    for di, plan in enumerate(plans):
-        if plan is None:
-            batches.append(
-                _MemberBatch(
-                    _EMPTY, _EMPTY, _EMPTY, _CUM_SEED,
-                    members[di].timeline._base_watts[0], _EMPTY,
-                )
-            )
-            continue
-        rows = plan.rows
-        k = int(rows.size)
-        sub2d = np.take_along_axis(
-            np.ascontiguousarray(arrivals2d[:, rows]), ord_full[di], axis=1
-        )
-        fin2d = fin_sorted[di]
-        watts2d = watts_sorted[di]
-        starts2d = np.maximum(
-            sub2d,
-            np.concatenate(
-                (np.full((n_cells, 1), _NEG_INF), fin2d[:, :-1]), axis=1
-            ),
-        )
-        if k > 1:
-            mono_bad = np.any(np.diff(fin2d, axis=1) < 0, axis=1)
-        else:
-            mono_bad = np.zeros(n_cells, dtype=bool)
-        dur2d = fin2d - starts2d
-        zero_bad = np.any(dur2d <= 0.0, axis=1)
-        name = members[di].name
-        for i in range(n_cells):
-            if cell_reason[i] is None and bool(mono_bad[i]):
-                cell_reason[i] = f"{name}: non-monotone completion schedule"
-            if cell_reason[i] is None and bool(zero_bad[i]):
-                cell_reason[i] = f"{name}: zero-length power segment"
-        excess2d = watts2d * dur2d - plan.base_watts * dur2d
-        cum2d = np.concatenate(
-            (
-                np.zeros((n_cells, 1), dtype=np.float64),
-                np.cumsum(excess2d, axis=1),
-            ),
-            axis=1,
-        )
-        batches.append(
-            _MemberBatch(
-                starts2d=starts2d,
-                fin2d=fin2d,
-                watts=_EMPTY,
-                cum2d=cum2d,
-                base_watts=plan.base_watts,
-                submit2d=sub2d,
-                watts2d=watts2d,
-            )
-        )
-    if all(r is not None for r in cell_reason):
-        return None
-
-    fin_ev2d, resp_ev2d, bytes_ev2d = _flight_completions(
-        sub_fin2d, exp.flight_offsets, submit2d, nbytes, cell_reason
-    )
-    return fin_ev2d, resp_ev2d, bytes_ev2d, batches, (
-        device.enclosure.non_disk_watts
-    )
 
 
 def _queue_instants(

@@ -49,7 +49,13 @@ from ..power.analyzer import PowerAnalyzer
 from ..power.states import PowerState
 from ..replay.monitor import PerfSample
 from ..storage.array import DiskArray
-from ..storage.base import QueuedDevice, StorageDevice
+from ..storage.base import (
+    QueuedDevice,
+    StorageDevice,
+    VectorService,
+    lag,
+    sequence_starts,
+)
 from ..storage.hdd import HardDiskDrive
 from ..storage.queueing import FIFOQueue
 from ..storage.raid import FlightExpansion, RaidLevel, expand_flights
@@ -77,6 +83,7 @@ _MAX_RMW_PASSES = 32
 _MAX_WINDOWS = 2_000_000
 
 _NEG_INF = float("-inf")
+_EMPTY = np.empty(0, dtype=np.float64)
 
 
 class _Fallback(Exception):
@@ -90,13 +97,61 @@ class _Fallback(Exception):
 # ---------------------------------------------------------------------------
 # Exact FCFS queue solver (Lindley recurrence)
 # ---------------------------------------------------------------------------
+#
+# Both chain solvers below take an optional ``restart`` mask: independent
+# chains concatenated end to end (one per grid cell), each starting over
+# from ``prev`` at its marked position.  Point replay is the one-chain
+# case; the grid solves its ``(P, n)`` matrices as one flattened call.
 
 
-def _lindley_scalar(submit: np.ndarray, sv: np.ndarray, prev: float) -> np.ndarray:
+def _row_restarts(n_rows: int, k: int) -> Optional[np.ndarray]:
+    """Restart mask for ``n_rows`` length-``k`` rows flattened end to end
+    (``None`` when there is only one chain)."""
+    if n_rows <= 1 or k == 0:
+        return None
+    mask = np.zeros(n_rows * k, dtype=bool)
+    mask[::k] = True
+    return mask
+
+
+def _idle_heads(arrival: np.ndarray, cost, starts: np.ndarray) -> np.ndarray:
+    """Guess idle-start heads from arrival slack, chain by chain.
+
+    An arrival minus the work queued ahead of it in its chain that
+    reaches a new running maximum marks a likely idle restart.  Both
+    the running work sum and the running maximum restart at every chain
+    start: each chain's slack is lifted clear above every earlier
+    chain's, so one ``maximum.accumulate`` serves all of them.  The guess
+    only picks split positions — extra splits are bit-neutral and missed
+    heads surface as violations — so rounding in the lift never changes
+    a result.
+    """
+    ahead = np.concatenate(([0.0], np.cumsum(cost)[:-1]))
+    approx = arrival - ahead
+    if starts.size > 1:
+        chain = np.repeat(
+            np.arange(starts.size), np.diff(np.append(starts, arrival.size))
+        )
+        approx += ahead[starts][chain]
+        approx += (approx.max() - approx.min() + 1.0) * chain
+    is_head = approx >= np.maximum.accumulate(approx)
+    is_head[starts] = True
+    return is_head
+
+
+def _lindley_scalar(
+    submit: np.ndarray,
+    sv: np.ndarray,
+    prev: float,
+    restart: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Reference solver: the event path's arithmetic, request by request."""
     out = np.empty(submit.size, dtype=np.float64)
     cur = prev
+    fresh = sequence_starts(submit.size, restart).tolist() if submit.size else []
     for i, (t, s) in enumerate(zip(submit.tolist(), sv.tolist())):
+        if fresh[i]:
+            cur = prev
         start = t if t > cur else cur
         cur = start + s
         out[i] = cur
@@ -104,20 +159,29 @@ def _lindley_scalar(submit: np.ndarray, sv: np.ndarray, prev: float) -> np.ndarr
 
 
 def _eval_lindley_segments_loop(
-    submit: np.ndarray, sv: np.ndarray, heads: np.ndarray, prev: float
+    submit: np.ndarray,
+    sv: np.ndarray,
+    heads: np.ndarray,
+    prev: float,
+    fresh: np.ndarray,
 ) -> np.ndarray:
     """Per-segment reference evaluation (sequential over busy runs).
 
     Each segment [a, b) is a busy run: its first request starts at
     ``max(submit[a], previous finish)`` (exact selection) and the rest
     chain by seeded cumulative sum — the same left-to-right additions
-    the scalar loop performs.
+    the scalar loop performs.  A ``fresh`` segment starts a new chain,
+    so its previous finish is ``prev``.
     """
     n = submit.size
     f = np.empty(n, dtype=np.float64)
     cur = prev
     bounds = np.append(heads, n)
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+    for a, b, new in zip(
+        bounds[:-1].tolist(), bounds[1:].tolist(), fresh.tolist()
+    ):
+        if new:
+            cur = prev
         sa = submit[a]
         seed = sa if sa > cur else cur
         f[a:b] = np.cumsum(np.concatenate(([seed], sv[a:b])))[1:]
@@ -125,237 +189,154 @@ def _eval_lindley_segments_loop(
     return f
 
 
-#: Offset-sweep eligibility: below this many segments the per-segment
-#: loop's overhead is negligible, so the sweep machinery isn't worth it.
-_SWEEP_MIN_SEGMENTS = 256
-
-#: Segments longer than this are evaluated with one seeded cumsum each
-#: (a handful of numpy calls) instead of joining the offset sweep, which
-#: would otherwise pay one sweep step per element of the longest run.
-_SWEEP_MAX_LEN = 64
+#: Batched evaluation eligibility: below this many segments the
+#: per-segment loop's overhead is negligible (and it never needs
+#: seed-repair waves).
+_BATCH_MIN_SEGMENTS = 64
 
 #: Seed-repair waves before falling back to the sequential loop.  Each
 #: wave finalises at least one more segment of every chain of busy runs
 #: that merge (a head whose submit lands inside the previous run), so
 #: only adversarially long merge chains hit the cap.
-_MAX_SWEEP_WAVES = 40
+_MAX_SEED_WAVES = 40
+
+
+def _run_blocks(heads: np.ndarray, lens: np.ndarray, n: int):
+    """Group busy runs ``[heads[i], heads[i] + lens[i])`` by power-of-two
+    length class.
+
+    Yields ``(sel, idx, keep)`` per class: the runs' positions in
+    ``heads``, a ``(runs, width)`` block of element indices (clipped to
+    the array, so a short run reads past its end into whatever follows)
+    and the mask of indices that belong to each run.  A row-wise cumsum
+    over such a block performs, for every run, exactly the left-to-right
+    additions of that run's own cumsum; the padding only extends rows
+    past their ends and is never stored.  Padding stays under 2x, and
+    the classes number at most ``log2(n) + 1``.
+    """
+    classes = np.frexp(lens.astype(np.float64))[1]
+    for cls in np.unique(classes).tolist():
+        sel = np.flatnonzero(classes == cls)
+        ls = lens[sel]
+        cols = np.arange(int(ls.max()))
+        idx = np.minimum(heads[sel][:, None] + cols, n - 1)
+        yield sel, idx, cols < ls[:, None]
 
 
 def _eval_lindley_segments(
-    submit: np.ndarray, sv: np.ndarray, heads: np.ndarray, prev: float
+    submit: np.ndarray,
+    sv: np.ndarray,
+    heads: np.ndarray,
+    prev: float,
+    fresh: np.ndarray,
 ) -> np.ndarray:
     """Evaluate finish times given idle-start positions ``heads``.
 
     Lightly loaded schedules split into tens of thousands of short busy
-    runs; evaluating them one Python-loop iteration apiece dominates the
-    solver.  Instead, sweep *by offset within segment*: seed every
-    segment at its own ``submit[a]`` (the true seed whenever the head is
-    a genuine idle restart), then chain ``f[a + j] = f[a + j - 1] +
-    sv[a + j]`` for all segments at once, one vectorized step per
-    offset.  The additions and their dependency order are exactly the
-    per-segment cumsum's, so the values are bit-identical.  Heads whose
-    run actually merges with the previous one (``submit[a]`` below the
-    previous run's finish) are then re-seeded at ``max(submit[a],
-    previous finish)`` and re-swept — values only grow, and each wave
-    finalises the next segment of every merge chain, so the iteration
-    reaches the sequential evaluation's unique answer; if a pathological
-    chain outlives the wave cap, fall back to the sequential loop.
+    runs, and a grid stack into at least one run per row; evaluating
+    them one Python-loop iteration apiece dominates the solver.
+    Instead, seed every segment at its own ``submit[a]`` (the true seed
+    whenever the head is a genuine idle restart; ``max(submit[a],
+    prev)`` for a ``fresh`` chain start) and evaluate all of them at
+    once, one row-wise cumsum per length class (:func:`_run_blocks`) —
+    the per-segment cumsum's exact additions, so the values are
+    bit-identical.  Heads whose run actually merges with the previous
+    one (``submit[a]`` below the previous run's finish) are then
+    re-seeded at ``max(submit[a], previous finish)`` and re-evaluated —
+    values only grow, and each wave finalises the next segment of every
+    merge chain, so the iteration reaches the sequential evaluation's
+    unique answer; if a pathological chain outlives the wave cap, fall
+    back to the sequential loop.
     """
     n = submit.size
-    n_seg = heads.size
-    if n_seg < _SWEEP_MIN_SEGMENTS:
-        return _eval_lindley_segments_loop(submit, sv, heads, prev)
-    bounds = np.append(heads, n)
-    lens = np.diff(bounds)
-    long_seg = np.flatnonzero(lens > _SWEEP_MAX_LEN)
-    if long_seg.size * 8 > n_seg:
-        return _eval_lindley_segments_loop(submit, sv, heads, prev)
-
+    if heads.size < _BATCH_MIN_SEGMENTS:
+        return _eval_lindley_segments_loop(submit, sv, heads, prev, fresh)
+    lens = np.diff(np.append(heads, n))
     f = np.empty(n, dtype=np.float64)
     seed = submit[heads].copy()
-    if not seed[0] > prev:
-        seed[0] = prev
+    seed[fresh] = np.maximum(seed[fresh], prev)
 
-    def _sweep(sel: np.ndarray) -> None:
+    def _runs(sel: np.ndarray) -> None:
         """(Re)evaluate the selected segments from their current seeds."""
-        if long_seg.size:
-            is_long = lens[sel] > _SWEEP_MAX_LEN
-            for si in sel[is_long].tolist():
-                a, b = int(bounds[si]), int(bounds[si + 1])
-                f[a:b] = np.cumsum(
-                    np.concatenate(([seed[si]], sv[a:b]))
-                )[1:]
-            sel = sel[~is_long]
-            if not sel.size:
-                return
-        hs = heads[sel]
-        ls = lens[sel]
-        f[hs] = seed[sel] + sv[hs]
-        for j in range(1, int(ls.max())):
-            live = ls > j
-            if not np.all(live):
-                hs, ls = hs[live], ls[live]
-            pos = hs + j
-            f[pos] = f[pos - 1] + sv[pos]
+        for rows, idx, keep in _run_blocks(heads[sel], lens[sel], n):
+            block = np.empty((rows.size, idx.shape[1] + 1), dtype=np.float64)
+            block[:, 0] = seed[sel[rows]]
+            block[:, 1:] = sv[idx]
+            f[idx[keep]] = np.cumsum(block, axis=1)[:, 1:][keep]
 
-    _sweep(np.arange(n_seg))
-    tails = bounds[1:-1] - 1
-    for _ in range(_MAX_SWEEP_WAVES):
-        want = seed.copy()
-        np.maximum(submit[heads[1:]], f[tails], out=want[1:])
-        stale = np.flatnonzero(want != seed)
-        if not stale.size:
+    _runs(np.arange(heads.size))
+    linked = np.flatnonzero(~fresh)
+    tails = heads[linked] - 1
+    for _ in range(_MAX_SEED_WAVES):
+        want = np.maximum(submit[heads[linked]], f[tails])
+        moved = want != seed[linked]
+        if not moved.any():
             return f
-        seed[stale] = want[stale]
-        _sweep(stale)
-    return _eval_lindley_segments_loop(submit, sv, heads, prev)
+        stale = linked[moved]
+        seed[stale] = want[moved]
+        _runs(stale)
+    return _eval_lindley_segments_loop(submit, sv, heads, prev, fresh)
 
 
 def _solve_lindley(
-    submit: np.ndarray, sv: np.ndarray, prev: float = _NEG_INF
+    submit: np.ndarray,
+    sv: np.ndarray,
+    prev: float = _NEG_INF,
+    restart: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Finish times of ``finish_k = max(submit_k, finish_{k-1}) + sv_k``.
 
-    Bit-identical to the scalar recurrence.  Two O(1)-pass fast paths
-    cover the common regimes (server never queues / server never
+    Bit-identical to the scalar recurrence, chain by chain when
+    ``restart`` marks several.  O(1)-pass fast paths cover the common
+    regimes (server never queues / a single chain's server never
     idles); otherwise idle-start heads are guessed from the arrival
-    slack and refined until the evaluation is self-consistent, which
-    by induction makes it exact.
+    slack and refined until the evaluation is self-consistent, which by
+    induction makes it exact.
     """
     n = submit.size
     if n == 0:
         return submit.astype(np.float64)
+    is_start = sequence_starts(n, restart)
     # Fully-idle: every request starts at its own submit time.
     f_idle = submit + sv
-    if submit[0] >= prev and (n == 1 or bool(np.all(submit[1:] >= f_idle[:-1]))):
+    if bool(np.all(submit >= lag(f_idle, prev, is_start))):
         return f_idle
-    # Fully-busy: one seeded cumsum chain.
-    s0 = submit[0]
-    seed0 = s0 if s0 > prev else prev
-    f_busy = np.cumsum(np.concatenate(([seed0], sv)))[1:]
-    if bool(np.all(submit[1:] <= f_busy[:-1])):
-        return f_busy
+    starts = np.flatnonzero(is_start)
+    # Fully-busy: one seeded cumsum.  Worth a try on a single chain (a
+    # point replay's queue is often saturated); a stack of chains is
+    # rarely busy in every row, and the general path's first pass
+    # already takes a busy chain's start as its only head.
+    if starts.size == 1:
+        s0 = submit[0]
+        seed0 = s0 if s0 > prev else prev
+        f_busy = np.cumsum(np.concatenate(([seed0], sv)))[1:]
+        if bool(np.all(submit[1:] <= f_busy[:-1])):
+            return f_busy
     # General: guess heads from arrival slack, refine to fixpoint.
-    approx = submit - np.concatenate(([0.0], np.cumsum(sv)[:-1]))
-    is_head = approx >= np.maximum.accumulate(approx)
-    is_head[0] = True
+    is_head = _idle_heads(submit, sv, starts)
     for _ in range(_MAX_PASSES):
         heads = np.flatnonzero(is_head)
-        f = _eval_lindley_segments(submit, sv, heads, prev)
-        viol = np.flatnonzero(submit[1:] > f[:-1]) + 1
+        f = _eval_lindley_segments(submit, sv, heads, prev, is_start[heads])
+        viol = np.flatnonzero(submit > lag(f, np.inf, is_start))
         new = viol[~is_head[viol]]
         if new.size == 0:
             return f
         is_head[new] = True
-    return _lindley_scalar(submit, sv, prev)
+    return _lindley_scalar(submit, sv, prev, is_start)
 
 
-def _eval_lindley_segments_grid(
-    submit: np.ndarray, sv: np.ndarray, heads: np.ndarray, prev: float
-) -> np.ndarray:
-    """Row-batched segment evaluation with *shared* head columns.
+def _solve_rows(submit2d: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """Lindley finishes of every row of ``submit2d`` from an idle server.
 
-    Every row is split at the same column positions.  A split at a
-    column where the row is actually mid-busy-run is harmless: the seed
-    ``max(submit[:, a], cur)`` resolves to ``cur`` there, and
-    ``cumsum([cur, sv_a, …])`` performs the identical left-to-right
-    additions the unsplit chain would — splitting a seeded cumsum is
-    bit-neutral.  Only *missing* a true idle restart changes results,
-    and the refinement loop in the caller catches those as violations.
-
-    ``sv`` is ``(n,)`` when every row shares one service vector or
-    ``(P, n)`` for per-row service times (the RMW grid path, where each
-    cell serves in its own order); a 1-D slice broadcasts into the
-    block exactly as the per-row copy would.
+    One flattened :func:`_solve_lindley` call with a restart at each row
+    start; ``sv`` is one service vector shared by every row or a
+    matching ``(P, k)`` matrix.
     """
-    n_rows, n = submit.shape
-    f = np.empty((n_rows, n), dtype=np.float64)
-    cur = np.full(n_rows, prev, dtype=np.float64)
-    bounds = np.append(heads, n)
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        block = np.empty((n_rows, b - a + 1), dtype=np.float64)
-        np.maximum(submit[:, a], cur, out=block[:, 0])
-        block[:, 1:] = sv[..., a:b]
-        f[:, a:b] = np.cumsum(block, axis=1)[:, 1:]
-        cur = f[:, b - 1]
-    return f
-
-
-def _solve_lindley_grid(
-    submit: np.ndarray, sv: np.ndarray, prev: float = _NEG_INF
-) -> np.ndarray:
-    """Batched Lindley solver over a leading parameter axis.
-
-    ``submit`` is ``(P, n)`` — one row per grid cell.  ``sv`` is either
-    one shared ``(n,)`` service-time vector (the single-phase path:
-    service depends on request geometry and fresh device state, never
-    on arrival times) or a ``(P, n)`` matrix of per-row service times
-    (the RMW path, where each cell's serving order differs).  Rows are
-    independent; each row's result is bit-identical to
-    ``_solve_lindley(submit[i], sv_row, prev)``:
-
-    * the idle fast path is the same elementwise ``submit + sv`` (a
-      broadcast is still one add per element);
-    * the busy fast path seeds column 0 per row and runs
-      ``np.cumsum(axis=1)`` — ``add.accumulate`` along the last axis is
-      a strict left-to-right chain per row, the exact additions of the
-      1-D seeded cumsum;
-    * remaining rows are solved together: per-row head guesses are
-      unioned into one shared column set and refined to a fixpoint.
-      Shared extra splits are bit-neutral (see
-      :func:`_eval_lindley_segments_grid`), so a violation-free
-      evaluation equals the scalar recurrence on every row.
-    """
-    submit = np.ascontiguousarray(submit, dtype=np.float64)
-    n_cells, n = submit.shape
-    if n == 0 or n_cells == 0:
-        return submit.copy()
-    out = np.empty((n_cells, n), dtype=np.float64)
-    f_idle = submit + sv
-    ok_idle = submit[:, 0] >= prev
-    if n > 1:
-        ok_idle &= np.all(submit[:, 1:] >= f_idle[:, :-1], axis=1)
-    chain = np.empty((n_cells, n + 1), dtype=np.float64)
-    chain[:, 0] = np.maximum(submit[:, 0], prev)
-    chain[:, 1:] = sv
-    f_busy = np.cumsum(chain, axis=1)[:, 1:]
-    if n > 1:
-        ok_busy = np.all(submit[:, 1:] <= f_busy[:, :-1], axis=1)
-    else:
-        ok_busy = np.ones(n_cells, dtype=bool)
-    out[ok_idle] = f_idle[ok_idle]
-    busy_rows = ~ok_idle & ok_busy
-    out[busy_rows] = f_busy[busy_rows]
-    gen = np.flatnonzero(~ok_idle & ~ok_busy)
-    if gen.size == 0:
-        return out
-    sub = np.ascontiguousarray(submit[gen])
-    sv_gen = sv if sv.ndim == 1 else np.ascontiguousarray(sv[gen])
-    if sv.ndim == 1:
-        approx = sub - np.concatenate(([0.0], np.cumsum(sv)[:-1]))
-    else:
-        # Head guesses only pick split columns (splits are bit-neutral);
-        # subtracting the per-row running service sum mirrors the 1-D
-        # expression row by row.
-        approx = sub.copy()
-        approx[:, 1:] -= np.cumsum(sv_gen, axis=1)[:, :-1]
-    is_head = approx >= np.maximum.accumulate(approx, axis=1)
-    col_head = np.any(is_head, axis=0)
-    col_head[0] = True
-    for _ in range(_MAX_PASSES):
-        heads = np.flatnonzero(col_head)
-        f = _eval_lindley_segments_grid(sub, sv_gen, heads, prev)
-        viol_cols = np.flatnonzero(np.any(sub[:, 1:] > f[:, :-1], axis=0)) + 1
-        new = viol_cols[~col_head[viol_cols]]
-        if new.size == 0:
-            out[gen] = f
-            return out
-        col_head[new] = True
-    for j, i in enumerate(gen.tolist()):
-        out[i] = _solve_lindley(
-            submit[i], sv if sv.ndim == 1 else sv_gen[j], prev
-        )
-    return out
+    n_rows, k = submit2d.shape
+    sv_flat = np.tile(sv, n_rows) if sv.ndim == 1 else sv.ravel()
+    return _solve_lindley(
+        submit2d.ravel(), sv_flat, restart=_row_restarts(n_rows, k)
+    ).reshape(n_rows, k)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +345,19 @@ def _solve_lindley_grid(
 
 
 def _chain_scalar(
-    t: np.ndarray, c: float, p: np.ndarray, prev: float
+    t: np.ndarray,
+    c: float,
+    p: np.ndarray,
+    prev: float,
+    restart: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     d = np.empty(t.size, dtype=np.float64)
     link = np.empty(t.size, dtype=np.float64)
     cur = prev
+    fresh = sequence_starts(t.size, restart).tolist() if t.size else []
     for i, (ti, pi) in enumerate(zip(t.tolist(), p.tolist())):
+        if fresh[i]:
+            cur = prev
         disp = ti if ti > cur else cur
         disp = disp + c
         d[i] = disp
@@ -379,7 +367,12 @@ def _chain_scalar(
 
 
 def _eval_chain_segments_loop(
-    t: np.ndarray, c: float, p: np.ndarray, heads: np.ndarray, prev: float
+    t: np.ndarray,
+    c: float,
+    p: np.ndarray,
+    heads: np.ndarray,
+    prev: float,
+    fresh: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-segment reference evaluation of the dispatch chain.
 
@@ -393,7 +386,11 @@ def _eval_chain_segments_loop(
     link = np.empty(n, dtype=np.float64)
     cur = prev
     bounds = np.append(heads, n)
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+    for a, b, new in zip(
+        bounds[:-1].tolist(), bounds[1:].tolist(), fresh.tolist()
+    ):
+        if new:
+            cur = prev
         ta = t[a]
         seed = ta if ta > cur else cur
         m = b - a
@@ -409,201 +406,96 @@ def _eval_chain_segments_loop(
 
 
 def _eval_chain_segments(
-    t: np.ndarray, c: float, p: np.ndarray, heads: np.ndarray, prev: float
+    t: np.ndarray,
+    c: float,
+    p: np.ndarray,
+    heads: np.ndarray,
+    prev: float,
+    fresh: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Evaluate the dispatch chain given idle-link positions ``heads``.
 
-    Same offset-sweep scheme as :func:`_eval_lindley_segments` (which
-    see): segments are seeded independently at their own submit times
-    and chained one vectorized step per offset — ``d[k] = link[k - 1] +
-    c``; ``link[k] = d[k] + p[k]``, the interleaved cumsum's exact
+    Same batched scheme as :func:`_eval_lindley_segments` (which see):
+    segments are seeded independently at their own submit times and
+    evaluated together, one interleaved ``seed, +c, +p_0, +c, +p_1…``
+    row-wise cumsum per length class — the per-segment cumsum's exact
     additions — then heads that actually merge with the previous busy
-    run are re-seeded and re-swept until the evaluation is
+    run are re-seeded and re-evaluated until the evaluation is
     self-consistent.
     """
     n = t.size
-    n_seg = heads.size
-    if n_seg < _SWEEP_MIN_SEGMENTS:
-        return _eval_chain_segments_loop(t, c, p, heads, prev)
-    bounds = np.append(heads, n)
-    lens = np.diff(bounds)
-    long_seg = np.flatnonzero(lens > _SWEEP_MAX_LEN)
-    if long_seg.size * 8 > n_seg:
-        return _eval_chain_segments_loop(t, c, p, heads, prev)
-
+    if heads.size < _BATCH_MIN_SEGMENTS:
+        return _eval_chain_segments_loop(t, c, p, heads, prev, fresh)
+    lens = np.diff(np.append(heads, n))
     d = np.empty(n, dtype=np.float64)
     link = np.empty(n, dtype=np.float64)
     seed = t[heads].copy()
-    if not seed[0] > prev:
-        seed[0] = prev
+    seed[fresh] = np.maximum(seed[fresh], prev)
 
-    def _sweep(sel: np.ndarray) -> None:
-        if long_seg.size:
-            is_long = lens[sel] > _SWEEP_MAX_LEN
-            for si in sel[is_long].tolist():
-                a, b = int(bounds[si]), int(bounds[si + 1])
-                m = b - a
-                arr = np.empty(2 * m + 1, dtype=np.float64)
-                arr[0] = seed[si]
-                arr[1::2] = c
-                arr[2::2] = p[a:b]
-                cs = np.cumsum(arr)
-                d[a:b] = cs[1::2]
-                link[a:b] = cs[2::2]
-            sel = sel[~is_long]
-            if not sel.size:
-                return
-        hs = heads[sel]
-        ls = lens[sel]
-        d[hs] = seed[sel] + c
-        link[hs] = d[hs] + p[hs]
-        for j in range(1, int(ls.max())):
-            live = ls > j
-            if not np.all(live):
-                hs, ls = hs[live], ls[live]
-            pos = hs + j
-            d[pos] = link[pos - 1] + c
-            link[pos] = d[pos] + p[pos]
+    def _runs(sel: np.ndarray) -> None:
+        for rows, idx, keep in _run_blocks(heads[sel], lens[sel], n):
+            block = np.empty((rows.size, 2 * idx.shape[1] + 1), dtype=np.float64)
+            block[:, 0] = seed[sel[rows]]
+            block[:, 1::2] = c
+            block[:, 2::2] = p[idx]
+            cs = np.cumsum(block, axis=1)
+            at = idx[keep]
+            d[at] = cs[:, 1::2][keep]
+            link[at] = cs[:, 2::2][keep]
 
-    _sweep(np.arange(n_seg))
-    tails = bounds[1:-1] - 1
-    for _ in range(_MAX_SWEEP_WAVES):
-        want = seed.copy()
-        np.maximum(t[heads[1:]], link[tails], out=want[1:])
-        stale = np.flatnonzero(want != seed)
-        if not stale.size:
+    _runs(np.arange(heads.size))
+    linked = np.flatnonzero(~fresh)
+    tails = heads[linked] - 1
+    for _ in range(_MAX_SEED_WAVES):
+        want = np.maximum(t[heads[linked]], link[tails])
+        moved = want != seed[linked]
+        if not moved.any():
             return d, link
-        seed[stale] = want[stale]
-        _sweep(stale)
-    return _eval_chain_segments_loop(t, c, p, heads, prev)
+        stale = linked[moved]
+        seed[stale] = want[moved]
+        _runs(stale)
+    return _eval_chain_segments_loop(t, c, p, heads, prev, fresh)
 
 
 def _solve_link_chain(
-    t: np.ndarray, c: float, p: np.ndarray, prev: float
+    t: np.ndarray,
+    c: float,
+    p: np.ndarray,
+    prev: float,
+    restart: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Dispatch/link-free times of the array controller chain.
 
     ``d_k = max(t_k, link_{k-1}) + c``; ``link_k = d_k + p_k`` — the
-    arithmetic of :meth:`DiskArray.submit`, reproduced bit-for-bit.
+    arithmetic of :meth:`DiskArray.submit`, reproduced bit-for-bit, chain
+    by chain when ``restart`` marks several.
     """
     n = t.size
     if n == 0:
         empty = t.astype(np.float64)
         return empty, empty
+    is_start = sequence_starts(n, restart)
     d_idle = t + c
     l_idle = d_idle + p
-    if t[0] >= prev and (n == 1 or bool(np.all(t[1:] >= l_idle[:-1]))):
+    if bool(np.all(t >= lag(l_idle, prev, is_start))):
         return d_idle, l_idle
-    t0 = t[0]
-    seed0 = t0 if t0 > prev else prev
-    heads0 = np.zeros(1, dtype=np.int64)
-    d_busy, l_busy = _eval_chain_segments(t, c, p, heads0, prev)
-    if bool(np.all(t[1:] <= l_busy[:-1])):
-        return d_busy, l_busy
-    approx = t - np.concatenate(([0.0], np.cumsum(c + p)[:-1]))
-    is_head = approx >= np.maximum.accumulate(approx)
-    is_head[0] = True
+    starts = np.flatnonzero(is_start)
+    if starts.size == 1:
+        d_busy, l_busy = _eval_chain_segments_loop(
+            t, c, p, starts, prev, np.ones(1, dtype=bool)
+        )
+        if bool(np.all(t[1:] <= l_busy[:-1])):
+            return d_busy, l_busy
+    is_head = _idle_heads(t, c + p, starts)
     for _ in range(_MAX_PASSES):
         heads = np.flatnonzero(is_head)
-        d, link = _eval_chain_segments(t, c, p, heads, prev)
-        viol = np.flatnonzero(t[1:] > link[:-1]) + 1
+        d, link = _eval_chain_segments(t, c, p, heads, prev, is_start[heads])
+        viol = np.flatnonzero(t > lag(link, np.inf, is_start))
         new = viol[~is_head[viol]]
         if new.size == 0:
             return d, link
         is_head[new] = True
-    return _chain_scalar(t, c, p, prev)
-
-
-def _eval_chain_segments_grid(
-    t: np.ndarray, c: float, p: np.ndarray, heads: np.ndarray, prev: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-batched dispatch-chain evaluation with *shared* head columns.
-
-    Same bit-neutral-split argument as
-    :func:`_eval_lindley_segments_grid`: a split where a row is
-    mid-busy-run seeds with ``cur`` and the interleaved cumsum
-    ``[cur, c, p_a, c, p_{a+1}, …]`` repeats the unsplit chain's
-    additions exactly.
-    """
-    n_rows, n = t.shape
-    d = np.empty((n_rows, n), dtype=np.float64)
-    link = np.empty((n_rows, n), dtype=np.float64)
-    cur = np.full(n_rows, prev, dtype=np.float64)
-    bounds = np.append(heads, n)
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        m = b - a
-        arr = np.empty((n_rows, 2 * m + 1), dtype=np.float64)
-        np.maximum(t[:, a], cur, out=arr[:, 0])
-        arr[:, 1::2] = c
-        arr[:, 2::2] = p[a:b]
-        cs = np.cumsum(arr, axis=1)
-        d[:, a:b] = cs[:, 1::2]
-        link[:, a:b] = cs[:, 2::2]
-        cur = link[:, b - 1]
-    return d, link
-
-
-def _solve_link_chain_grid(
-    t: np.ndarray, c: float, p: np.ndarray, prev: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched link-chain solver over a leading parameter axis.
-
-    ``t`` is ``(P, n)`` submit times; ``c`` (controller overhead) and
-    ``p`` (per-request payload serialisation) are shared across rows.
-    Per row bit-identical to ``_solve_link_chain(t[i], c, p, prev)``:
-    the busy path interleaves ``seed, +c, +p_0, +c, +p_1…`` into one
-    ``(P, 2n + 1)`` row-wise cumsum, the same left-to-right additions
-    as the 1-D evaluator; general rows are solved together with a
-    shared, refined head-column union (extra splits are bit-neutral).
-    """
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    n_cells, n = t.shape
-    if n == 0 or n_cells == 0:
-        return t.copy(), t.copy()
-    d = np.empty((n_cells, n), dtype=np.float64)
-    link = np.empty((n_cells, n), dtype=np.float64)
-    d_idle = t + c
-    l_idle = d_idle + p
-    ok_idle = t[:, 0] >= prev
-    if n > 1:
-        ok_idle &= np.all(t[:, 1:] >= l_idle[:, :-1], axis=1)
-    arr = np.empty((n_cells, 2 * n + 1), dtype=np.float64)
-    arr[:, 0] = np.maximum(t[:, 0], prev)
-    arr[:, 1::2] = c
-    arr[:, 2::2] = p
-    cs = np.cumsum(arr, axis=1)
-    d_busy = cs[:, 1::2]
-    l_busy = cs[:, 2::2]
-    if n > 1:
-        ok_busy = np.all(t[:, 1:] <= l_busy[:, :-1], axis=1)
-    else:
-        ok_busy = np.ones(n_cells, dtype=bool)
-    d[ok_idle] = d_idle[ok_idle]
-    link[ok_idle] = l_idle[ok_idle]
-    busy_rows = ~ok_idle & ok_busy
-    d[busy_rows] = d_busy[busy_rows]
-    link[busy_rows] = l_busy[busy_rows]
-    gen = np.flatnonzero(~ok_idle & ~ok_busy)
-    if gen.size == 0:
-        return d, link
-    tg = np.ascontiguousarray(t[gen])
-    approx = tg - np.concatenate(([0.0], np.cumsum(c + p)[:-1]))
-    is_head = approx >= np.maximum.accumulate(approx, axis=1)
-    col_head = np.any(is_head, axis=0)
-    col_head[0] = True
-    for _ in range(_MAX_PASSES):
-        heads = np.flatnonzero(col_head)
-        dg, lg = _eval_chain_segments_grid(tg, c, p, heads, prev)
-        viol_cols = np.flatnonzero(np.any(tg[:, 1:] > lg[:, :-1], axis=0)) + 1
-        new = viol_cols[~col_head[viol_cols]]
-        if new.size == 0:
-            d[gen] = dg
-            link[gen] = lg
-            return d, link
-        col_head[new] = True
-    for i in gen:
-        d[i], link[i] = _solve_link_chain(t[i], c, p, prev)
-    return d, link
+    return _chain_scalar(t, c, p, prev, is_start)
 
 
 # ---------------------------------------------------------------------------
@@ -725,27 +617,44 @@ def _check_timeline_clear(dev: QueuedDevice, first_start: float) -> None:
         raise _Fallback(f"{dev.name}: power timeline extends past replay start")
 
 
+def _service_plan(
+    dev: QueuedDevice,
+    sectors: np.ndarray,
+    nbytes: np.ndarray,
+    ops: np.ndarray,
+    restart: Optional[np.ndarray] = None,
+) -> VectorService:
+    """``dev.service_times`` with model refusals turned into fallbacks."""
+    try:
+        return dev.service_times(sectors, nbytes, ops, restart)  # type: ignore[attr-defined]
+    except StorageIOError as exc:
+        raise _Fallback(str(exc))
+
+
 def _serve_fifo(
     dev: QueuedDevice,
     submit: np.ndarray,
     sectors: np.ndarray,
     nbytes: np.ndarray,
     ops: np.ndarray,
+    solved: Optional[Tuple[np.ndarray, np.ndarray, Callable[[], None]]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Callable[[], None]]:
     """Solve one member device's FCFS service sequence.
 
-    Returns ``(fin, starts, push_times, pop_times, commit)``; commit
-    applies the device-model cursor state, queue counters, completion
-    count, head hint, and the power-timeline segments.
+    ``solved`` hands in ``(fin, watts, apply_state)`` for a schedule the
+    RMW fixpoint already solved; otherwise the service plan and the
+    Lindley finishes are computed here.  Returns ``(fin, starts,
+    push_times, pop_times, commit)``; commit applies the device-model
+    cursor state, queue counters, completion count, head hint, and the
+    power-timeline segments.
     """
-    try:
-        svc = dev.service_times(sectors, nbytes, ops)
-    except StorageIOError as exc:
-        raise _Fallback(str(exc))
-    fin = _solve_lindley(submit, svc.seconds)
+    if solved is None:
+        svc = _service_plan(dev, sectors, nbytes, ops)
+        solved = (_solve_lindley(submit, svc.seconds), svc.watts, svc.apply_state)
+    fin, watts, apply_model = solved
     if bool(np.any(np.diff(fin) < 0)):
         raise _Fallback(f"{dev.name}: non-monotone completion schedule")
-    starts = np.maximum(submit, np.concatenate(([_NEG_INF], fin[:-1])))
+    starts = np.maximum(submit, lag(fin, _NEG_INF))
     _check_timeline_clear(dev, float(starts[0]))
     queued = starts > submit
     push = submit[queued]
@@ -760,8 +669,6 @@ def _serve_fifo(
     if int(end_sectors.max()) > dev.capacity_sectors:
         raise _Fallback(f"{dev.name}: request beyond capacity")
     last_end = int(end_sectors[-1])
-    watts = svc.watts
-    apply_model = svc.apply_state
 
     def commit() -> None:
         dev.timeline.extend_segments(starts, fin, watts)
@@ -799,25 +706,43 @@ def _compute_single(
     )
 
 
-def _expand_subios(
-    geom, sectors: np.ndarray, nbytes: np.ndarray, ops: np.ndarray
-) -> FlightExpansion:
-    """Closed-form clean-mode stripe planning.
+def _disk_rows(sub_disk: np.ndarray, n_disks: int) -> List[np.ndarray]:
+    """Each member's sub-I/O indices in plan order — the member queue's
+    arrival order whenever every sub-I/O is issued at dispatch."""
+    order = np.argsort(sub_disk, kind="stable")
+    cuts = np.searchsorted(
+        sub_disk[order], np.arange(n_disks + 1, dtype=np.int64)
+    ).tolist()
+    return [order[cuts[di]:cuts[di + 1]] for di in range(n_disks)]
 
-    Delegates to :func:`repro.storage.raid.expand_flights` — sub-I/Os
-    come back flight-major in plan order (``pre`` block, then ``post``),
-    exactly as :meth:`RaidGeometry.plan` emits them, with integer
-    arithmetic throughout (int64) so equality with the Python loop is
-    exact.
+
+def _noop() -> None:
+    return None
+
+
+@dataclass
+class _Served:
+    """One member's converged FCFS schedule, one row per dispatch row.
+
+    Columns run in the member's serving (arrival) order: ``order`` holds
+    the sub-I/O indices, ``submit``/``fin`` their queue-entry and finish
+    instants, ``watts`` the service plan's mean Watts.  ``apply_state``
+    commits the device cursor state of the most recently planned row —
+    for a single row, the state its converged serving order leaves.
     """
-    return expand_flights(geom, sectors, nbytes, ops)
+
+    order: np.ndarray
+    submit: np.ndarray
+    fin: np.ndarray
+    watts: np.ndarray
+    apply_state: Callable[[], None] = _noop
 
 
 def _solve_two_phase(
     device: DiskArray,
     exp: FlightExpansion,
     dispatch: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+) -> Tuple[np.ndarray, List[Optional[_Served]], List[Optional[str]]]:
     """Solve the per-flight two-phase (RMW) barrier to a verified fixpoint.
 
     The event path issues a flight's ``pre`` reads at its dispatch
@@ -839,14 +764,25 @@ def _solve_two_phase(
     event engine's schedule the *unique* fixpoint — so the converged
     arrivals are bit-identical to the event path's.
 
-    Returns ``(arrivals, sub_fin, disk_rows)`` with ``arrivals`` the
-    converged per-sub-I/O queue-entry instants, ``sub_fin`` their finish
-    times, and ``disk_rows`` each member's sub-I/O indices in plan
-    order.  Raises :class:`_Fallback` on non-convergence or on arrival
-    ties the event calendar would break by schedule sequence numbers
-    (two RMW barriers releasing at one instant).
+    ``dispatch`` holds ``P`` independent rows of flight dispatch
+    instants — one per grid cell; point replay passes one row.  Every
+    pass solves all still-active rows of a member at once (one argsort,
+    one service plan and one Lindley solve, flattened with a restart
+    per row), with three exact shortcuts: a row whose post arrivals at
+    a member did not move keeps its finishes, a row whose serving
+    *order* did not change reuses its service plan (service depends
+    only on the request sequence, never on the clock), and a converged
+    row — a fixpoint of a deterministic map — retires from the pass.
+
+    Returns ``(sub_fin, served, reasons)``: ``(P, total)`` sub-I/O
+    finish times in plan order, one :class:`_Served` per member
+    (``None`` for a member that serves nothing), and per row the reason
+    the closed form cannot reproduce it (``None`` when it can): a
+    service-model refusal, non-convergence, or arrival ties the event
+    calendar would break by schedule sequence numbers (two RMW barriers
+    releasing at one instant).
     """
-    total = exp.total
+    n_rows = dispatch.shape[0]
     sub_flight = exp.sub_flight
     has_pre = exp.pre_counts > 0
     pre_flights = np.flatnonzero(has_pre)
@@ -855,81 +791,114 @@ def _solve_two_phase(
         ([0], np.cumsum(exp.pre_counts[pre_flights])[:-1])
     ).astype(np.int64)
     post_mask = ~exp.is_pre & has_pre[sub_flight]
+    post_idx = np.flatnonzero(post_mask)
+    post_at = sub_flight[post_idx]
+    disk_rows = _disk_rows(exp.disk, len(device.disks))
+    # Flights whose post arrival lands in each member's queue.
+    feeds = [sub_flight[rows[post_mask[rows]]] for rows in disk_rows]
 
-    order0 = np.argsort(exp.disk, kind="stable")
-    disk_sorted = exp.disk[order0]
-    cuts = np.searchsorted(
-        disk_sorted, np.arange(len(device.disks) + 1, dtype=np.int64)
-    )
-    disk_rows = [
-        order0[int(cuts[di]):int(cuts[di + 1])]
-        for di in range(len(device.disks))
-    ]
-
-    sub_fin = np.empty(total, dtype=np.float64)
-    base_arr = dispatch[sub_flight]
-    post_at = sub_flight[post_mask]
-    post_arrival = dispatch.copy()
-    arrivals = base_arr
-    # Two exact pass-to-pass shortcuts: a member whose arrival vector is
-    # unchanged serves identically (its finishes are already in
-    # ``sub_fin``), and a member whose serving *order* is unchanged
-    # reuses the previous pass's service plan (service depends only on
-    # the request sequence, never on the clock).
-    svc_memo: List[Optional[tuple]] = [None] * len(device.disks)
-    arr_memo: List[Optional[np.ndarray]] = [None] * len(device.disks)
-    for _ in range(_MAX_RMW_PASSES):
-        arrivals = base_arr.copy()
-        arrivals[post_mask] = post_arrival[post_at]
-        for di, disk in enumerate(device.disks):
-            rows = disk_rows[di]
-            if not rows.size:
-                continue
-            arr_d = arrivals[rows]
-            if arr_memo[di] is not None and np.array_equal(
-                arr_memo[di], arr_d
-            ):
-                continue
-            arr_memo[di] = arr_d
-            perm = rows[np.argsort(arr_d, kind="stable")]
-            memo = svc_memo[di]
-            if memo is not None and np.array_equal(memo[0], perm):
-                svc = memo[1]
-            else:
-                try:
-                    svc = disk.service_times(
-                        exp.sector[perm], exp.nbytes[perm], exp.op[perm]
-                    )
-                except StorageIOError as exc:
-                    raise _Fallback(str(exc))
-                svc_memo[di] = (perm, svc)
-            sub_fin[perm] = _solve_lindley(arrivals[perm], svc.seconds)
-        new_post = dispatch.copy()
-        new_post[pre_flights] = np.maximum.reduceat(
-            sub_fin[pre_idx], pre_seg
+    sub_fin = np.empty((n_rows, exp.total), dtype=np.float64)
+    # Each member's serving order and plan Watts; the arrival and finish
+    # columns are gathered once the rows have converged.
+    served: List[Optional[_Served]] = [
+        _Served(
+            np.zeros((n_rows, rows.size), dtype=np.int64),
+            _EMPTY,
+            _EMPTY,
+            np.empty((n_rows, rows.size), dtype=np.float64),
         )
-        if np.array_equal(new_post, post_arrival):
-            break
-        post_arrival = new_post
-    else:
-        raise _Fallback("rmw barrier schedule did not converge")
+        if rows.size
+        else None
+        for rows in disk_rows
+    ]
+    base = dispatch.take(sub_flight, axis=1)
+    post = dispatch.copy()
+    act = np.arange(n_rows)
+    # Active rows only: each member's current service seconds, and which
+    # flights' post arrivals moved in the previous pass.
+    seconds: List[Optional[np.ndarray]] = [None] * len(disk_rows)
+    moved: Optional[np.ndarray] = None
+    try:
+        for _ in range(_MAX_RMW_PASSES):
+            arr = base[act]
+            arr[:, post_idx] = post[act].take(post_at, axis=1)
+            for di, rows in enumerate(disk_rows):
+                s = served[di]
+                if s is None:
+                    continue
+                k = rows.size
+                if moved is None:
+                    redo = np.arange(act.size)
+                else:
+                    redo = np.flatnonzero(moved[:, feeds[di]].any(axis=1))
+                    if not redo.size:
+                        continue
+                a2d = arr.take(rows, axis=1)[redo]
+                srt = np.argsort(a2d, axis=1, kind="stable")
+                perm = rows[srt]
+                ri = act[redo]
+                if moved is None:
+                    seconds[di] = np.empty((act.size, k), dtype=np.float64)
+                    replan = np.ones(redo.size, dtype=bool)
+                else:
+                    replan = (perm != s.order[ri]).any(axis=1)
+                if replan.any():
+                    pp = perm[replan].ravel()
+                    svc = device.disks[di].service_times(
+                        exp.sector.take(pp), exp.nbytes.take(pp),
+                        exp.op.take(pp), _row_restarts(int(replan.sum()), k),
+                    )
+                    seconds[di][redo[replan]] = svc.seconds.reshape(-1, k)
+                    s.watts[ri[replan]] = svc.watts.reshape(-1, k)
+                    s.apply_state = svc.apply_state
+                s.order[ri] = perm
+                # Flat positions into the (redo, k) block: ``take`` on
+                # flat indices beats 2-D fancy indexing.
+                srt += np.arange(0, srt.size, k)[:, None]
+                fin = _solve_rows(a2d.take(srt), seconds[di][redo])
+                np.put(sub_fin, ri[:, None] * exp.total + perm, fin)
+            new_post = dispatch[act]
+            new_post[:, pre_flights] = np.maximum.reduceat(
+                sub_fin[act].take(pre_idx, axis=1), pre_seg, axis=1
+            )
+            moved = new_post != post[act]
+            post[act] = new_post
+            live = moved.any(axis=1)
+            act, moved = act[live], moved[live]
+            seconds = [None if sec is None else sec[live] for sec in seconds]
+            if not act.size:
+                break
+        stuck = "rmw barrier schedule did not converge"
+    except StorageIOError as exc:
+        stuck = str(exc)
+    reasons: List[Optional[str]] = [None] * n_rows
+    for i in act.tolist():
+        reasons[i] = stuck
+    base[:, post_idx] = post.take(post_at, axis=1)
+    cell = np.arange(n_rows)[:, None]
+    for s in served:
+        if s is not None:
+            s.submit = base[cell, s.order]
+            s.fin = sub_fin[cell, s.order]
 
     # Arrival ties the event calendar breaks by sequence number cannot
     # be reproduced: equal instants at one disk are only deterministic
     # within a flight (plan order) or between a completion-issued post
     # and a later flight's dispatch (completions outrank dispatch
     # events) — which stable plan-order sorting already encodes.
-    for rows in disk_rows:
-        if rows.size < 2:
+    for s in served:
+        if s is None or s.order.shape[1] < 2:
             continue
-        arr_d = arrivals[rows]
-        perm = rows[np.argsort(arr_d, kind="stable")]
-        tied = arrivals[perm[1:]] == arrivals[perm[:-1]]
-        cross = sub_flight[perm[1:]] != sub_flight[perm[:-1]]
-        benign = post_mask[perm[:-1]] & ~post_mask[perm[1:]]
-        if bool(np.any(tied & cross & ~benign)):
-            raise _Fallback("tied sub-I/O arrival times")
-    return arrivals, sub_fin, disk_rows
+        fl = sub_flight[s.order]
+        pm = post_mask[s.order]
+        tied = s.submit[:, 1:] == s.submit[:, :-1]
+        cross = fl[:, 1:] != fl[:, :-1]
+        benign = pm[:, :-1] & ~pm[:, 1:]
+        bad = np.any(tied & cross & ~benign, axis=1)
+        for i in np.flatnonzero(bad).tolist():
+            if reasons[i] is None:
+                reasons[i] = "tied sub-I/O arrival times"
+    return sub_fin, served, reasons
 
 
 def _compute_array(trace: PackedTrace, device: DiskArray, t0: float) -> _Computed:
@@ -948,63 +917,50 @@ def _compute_array(trace: PackedTrace, device: DiskArray, t0: float) -> _Compute
         submit, overhead, payload, device._link_busy_until
     )
 
-    exp = _expand_subios(geom, sectors, nbytes, ops)
+    exp = expand_flights(geom, sectors, nbytes, ops)
     flight_offsets = exp.flight_offsets
     sub_sector, sub_nbytes, sub_op = exp.sector, exp.nbytes, exp.op
     total = exp.total
-    sub_fin = np.empty(total, dtype=np.float64)
     commits: List[Callable[[], None]] = []
     pushes: List[np.ndarray] = []
     pops: List[np.ndarray] = []
     if exp.has_pre:
         # RAID-5 read-modify-write: post writes barrier on their pre
-        # reads.  Solve the barrier fixpoint, then serve each member in
-        # the converged arrival order.
-        arrivals, _fins, disk_rows = _solve_two_phase(device, exp, dispatch)
-        for di, disk in enumerate(device.disks):
-            rows = disk_rows[di]
-            if not rows.size:
-                continue
-            perm = rows[np.argsort(arrivals[rows], kind="stable")]
-            fin, _starts, push, pop, commit = _serve_fifo(
-                disk,
-                arrivals[perm],
-                sub_sector[perm],
-                sub_nbytes[perm],
-                sub_op[perm],
-            )
-            sub_fin[perm] = fin
-            commits.append(commit)
-            if push.size:
-                pushes.append(push)
-                pops.append(pop)
-    else:
-        arrivals = dispatch[exp.sub_flight]
-
-        # Per-disk FCFS service.  Stable sort keeps each disk's sub-I/Os
-        # in flight/plan order — the member queue's arrival order.
-        order = np.argsort(exp.disk, kind="stable")
-        disk_sorted = exp.disk[order]
-        cuts = np.searchsorted(
-            disk_sorted, np.arange(len(device.disks) + 1, dtype=np.int64)
+        # reads.  Solve the barrier fixpoint, then commit each member's
+        # converged schedule as solved.
+        sub_fin2d, served, reasons = _solve_two_phase(
+            device, exp, dispatch[None, :]
         )
-        for di, disk in enumerate(device.disks):
-            lo, hi = int(cuts[di]), int(cuts[di + 1])
-            if lo == hi:
-                continue
-            rows = order[lo:hi]
-            fin, _starts, push, pop, commit = _serve_fifo(
-                disk,
-                arrivals[rows],
-                sub_sector[rows],
-                sub_nbytes[rows],
-                sub_op[rows],
+        if reasons[0] is not None:
+            raise _Fallback(reasons[0])
+        sub_fin = sub_fin2d[0]
+        schedules = [
+            (disk, s.order[0], s.submit[0], (s.fin[0], s.watts[0], s.apply_state))
+            for disk, s in zip(device.disks, served)
+            if s is not None
+        ]
+    else:
+        # Per-disk FCFS service in flight/plan order — the member
+        # queue's arrival order.
+        arrivals = dispatch[exp.sub_flight]
+        sub_fin = np.empty(total, dtype=np.float64)
+        schedules = [
+            (disk, rows, arrivals[rows], None)
+            for disk, rows in zip(
+                device.disks, _disk_rows(exp.disk, len(device.disks))
             )
-            sub_fin[rows] = fin
-            commits.append(commit)
-            if push.size:
-                pushes.append(push)
-                pops.append(pop)
+            if rows.size
+        ]
+    for disk, rows, arrive, solved in schedules:
+        fin, _starts, push, pop, commit = _serve_fifo(
+            disk, arrive, sub_sector[rows], sub_nbytes[rows], sub_op[rows],
+            solved,
+        )
+        sub_fin[rows] = fin
+        commits.append(commit)
+        if push.size:
+            pushes.append(push)
+            pops.append(pop)
 
     # A flight completes when its last sub-I/O finishes.  Tied flight
     # finish times would make the monitor's accumulation order depend

@@ -33,7 +33,7 @@ from ..power.states import PowerState
 from ..rng import make_rng
 from ..trace.record import IOPackage, WRITE
 from ..units import SECTOR_BYTES
-from .base import QueuedDevice, VectorService
+from .base import QueuedDevice, VectorService, lag, sequence_starts
 from .specs import HDDSpec, SEAGATE_7200_12
 
 
@@ -145,15 +145,20 @@ class HardDiskDrive(QueuedDevice):
         self._last_op = package.op
         return total, mean_watts
 
-    def service_times(self, sectors, nbytes, ops) -> VectorService:
+    def service_times(self, sectors, nbytes, ops, restart=None) -> VectorService:
         """Vectorized mirror of :meth:`_service` for the analytical kernel.
 
         Computes service seconds and mean Watts for serving the given
         rows back-to-back in order, starting from the drive's current
-        head/streaming state.  Every expression is evaluated in the same
-        order as the scalar path, so results are bit-identical.  Pure:
-        call ``apply_state()`` on the returned plan to commit the head
-        cursor, streaming context, and ``seek_count``.
+        head/streaming state.  ``restart`` (an optional boolean mask)
+        splits the rows into independent sequences concatenated end to
+        end — a marked row starts over from the drive's current state —
+        so one call plans many candidate serving orders, one per grid
+        cell.  Every expression is evaluated in the same order as the
+        scalar path, so each sequence is bit-identical to planning it
+        alone.  Pure: call ``apply_state()`` on the returned plan to
+        commit the head cursor, streaming context, and ``seek_count``
+        the last sequence leaves behind.
         """
         if not self.state.ready:
             raise StorageIOError(
@@ -174,25 +179,24 @@ class HardDiskDrive(QueuedDevice):
             return VectorService(empty, empty, lambda: None)
         end_sectors = sectors + -(-nbytes // SECTOR_BYTES)
         is_write = ops == WRITE
+        first = sequence_starts(n, restart)
 
-        # Streaming: previous request's end sector (row 0 uses the
-        # drive's cursor; None means no streaming context yet).
-        prev_end = np.empty(n, dtype=np.int64)
-        prev_end[1:] = end_sectors[:-1]
-        prev_end[0] = (
-            self._last_end_sector if self._last_end_sector is not None else -1
+        # Streaming: previous request's end sector (each sequence's first
+        # row uses the drive's cursor; None means no streaming context).
+        prev_end = lag(
+            end_sectors,
+            self._last_end_sector if self._last_end_sector is not None else -1,
+            first,
         )
         sequential = sectors == prev_end
         if self._last_end_sector is None:
-            sequential[0] = False
+            sequential[first] = False
 
         # Turnaround on op-type switches (paid even while streaming).
-        prev_op = np.empty(n, dtype=np.int64)
-        prev_op[1:] = ops[:-1]
-        prev_op[0] = self._last_op if self._last_op is not None else -1
+        prev_op = lag(ops, self._last_op if self._last_op is not None else -1, first)
         switched = ops != prev_op
         if self._last_op is None:
-            switched[0] = False
+            switched[first] = False
         turnaround = np.where(
             switched,
             np.where(
@@ -205,9 +209,7 @@ class HardDiskDrive(QueuedDevice):
 
         # Seek from the head position, which the scalar path always
         # leaves at the previous request's end sector.
-        head = np.empty(n, dtype=np.int64)
-        head[1:] = end_sectors[:-1]
-        head[0] = self._head_sector
+        head = lag(end_sectors, self._head_sector, first)
         distance = np.abs(sectors - head)
         cap = max(self.capacity_sectors, 1)
         seek = np.where(
@@ -223,7 +225,8 @@ class HardDiskDrive(QueuedDevice):
             )
         seek = np.where(sequential, 0.0, seek)
         rotation = np.where(sequential, 0.0, rotation)
-        seeks = int(np.count_nonzero(seek > 0))
+        tail = int(np.flatnonzero(first)[-1])
+        seeks = int(np.count_nonzero(seek[tail:] > 0))
 
         frac = np.minimum(
             np.maximum(sectors / max(spec.capacity_sectors, 1), 0.0), 1.0
@@ -252,101 +255,6 @@ class HardDiskDrive(QueuedDevice):
             self.seek_count += seeks
 
         return VectorService(total, mean_watts, apply_state)
-
-    def service_times_grid(self, sectors, nbytes, ops):
-        """Pure ``(P, n)`` mirror of :meth:`service_times` for grid cells.
-
-        Each row is an independent serving sequence from the drive's
-        current cursor state; row ``i`` of the returned
-        ``(seconds, watts)`` matrices is bit-identical to
-        ``service_times(sectors[i], nbytes[i], ops[i])`` — every
-        expression is the same elementwise ufunc chain, shifted along
-        the last axis instead of a flat one.  Used by the RMW grid
-        solver, where each cell serves the same requests in its own
-        order so no single 1-D service vector can be shared.  Pure:
-        commits no cursor, streaming, or seek-count state.
-        """
-        if not self.state.ready:
-            raise StorageIOError(
-                f"{self.name}: request while {self.state.value}; spin up first"
-            )
-        if self.rotational_jitter:
-            raise StorageIOError(
-                f"{self.name}: vectorized service requires deterministic "
-                f"rotational latency (rotational_jitter draws per request)"
-            )
-        spec = self.spec
-        sectors = np.asarray(sectors, dtype=np.int64)
-        nbytes = np.asarray(nbytes, dtype=np.int64)
-        ops = np.asarray(ops, dtype=np.int64)
-        p, n = sectors.shape
-        if n == 0 or p == 0:
-            empty = np.empty((p, n), dtype=np.float64)
-            return empty, empty.copy()
-        end_sectors = sectors + -(-nbytes // SECTOR_BYTES)
-        is_write = ops == WRITE
-
-        prev_end = np.empty((p, n), dtype=np.int64)
-        prev_end[:, 1:] = end_sectors[:, :-1]
-        prev_end[:, 0] = (
-            self._last_end_sector if self._last_end_sector is not None else -1
-        )
-        sequential = sectors == prev_end
-        if self._last_end_sector is None:
-            sequential[:, 0] = False
-
-        prev_op = np.empty((p, n), dtype=np.int64)
-        prev_op[:, 1:] = ops[:, :-1]
-        prev_op[:, 0] = self._last_op if self._last_op is not None else -1
-        switched = ops != prev_op
-        if self._last_op is None:
-            switched[:, 0] = False
-        turnaround = np.where(
-            switched,
-            np.where(
-                is_write,
-                spec.read_to_write_turnaround,
-                spec.write_to_read_turnaround,
-            ),
-            0.0,
-        )
-
-        head = np.empty((p, n), dtype=np.int64)
-        head[:, 1:] = end_sectors[:, :-1]
-        head[:, 0] = self._head_sector
-        distance = np.abs(sectors - head)
-        cap = max(self.capacity_sectors, 1)
-        seek = np.where(
-            distance == 0,
-            0.0,
-            spec.settle_time + spec.seek_coefficient * np.sqrt(distance / cap),
-        )
-        rotation = np.full((p, n), spec.mean_rotational_latency)
-        if spec.write_cache:
-            seek = np.where(is_write, seek * spec.destage_seek_factor, seek)
-            rotation = np.where(
-                is_write, rotation * spec.destage_seek_factor, rotation
-            )
-        seek = np.where(sequential, 0.0, seek)
-        rotation = np.where(sequential, 0.0, rotation)
-
-        frac = np.minimum(
-            np.maximum(sectors / max(spec.capacity_sectors, 1), 0.0), 1.0
-        )
-        rate = spec.outer_rate - (spec.outer_rate - spec.inner_rate) * frac
-        transfer = nbytes / rate
-        total = spec.command_overhead + turnaround + seek + rotation + transfer
-
-        xfer_watts = np.where(is_write, spec.write_watts, spec.read_watts)
-        energy = (
-            (spec.command_overhead + turnaround + rotation)
-            * spec.rotate_wait_watts
-            + seek * spec.seek_watts
-            + transfer * xfer_watts
-        )
-        mean_watts = np.full((p, n), spec.idle_watts)
-        np.divide(energy, total, out=mean_watts, where=total > 0)
-        return total, mean_watts
 
     # -- Spin-down support (energy-saving extensions) ---------------------
 

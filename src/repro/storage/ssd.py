@@ -19,7 +19,7 @@ import numpy as np
 
 from ..trace.record import IOPackage, WRITE
 from ..units import SECTOR_BYTES
-from .base import QueuedDevice, VectorService
+from .base import QueuedDevice, VectorService, lag, sequence_starts
 from .specs import SSDSpec, MEMORIGHT_SLC_32GB
 
 
@@ -77,14 +77,15 @@ class SolidStateDrive(QueuedDevice):
         # controller is the consumer); bill the whole service at op power.
         return total, watts
 
-    def service_times(self, sectors, nbytes, ops) -> VectorService:
+    def service_times(self, sectors, nbytes, ops, restart=None) -> VectorService:
         """Vectorized mirror of :meth:`_service` for the analytical kernel.
 
         Same contract as :meth:`HardDiskDrive.service_times
         <repro.storage.hdd.HardDiskDrive.service_times>`: pure compute
-        with scalar-ordered arithmetic (bit-identical results), and an
+        with scalar-ordered arithmetic (bit-identical results), one
+        independent sequence per ``restart`` mark, and an
         ``apply_state`` callback committing the FTL streaming cursors
-        and ``random_write_count``.
+        and ``random_write_count`` the last sequence leaves behind.
         """
         spec = self.spec
         sectors = np.asarray(sectors, dtype=np.int64)
@@ -100,32 +101,38 @@ class SolidStateDrive(QueuedDevice):
         latency = np.where(is_write, spec.write_latency, spec.read_latency)
         rate = np.where(is_write, spec.write_rate, spec.read_rate)
         watts = np.where(is_write, spec.write_watts, spec.read_watts)
-        overhead = np.zeros(n, dtype=np.float64)
+        first = sequence_starts(n, restart)
 
-        # Write sequentiality is judged against the *previous write*
-        # (reads interleave freely through the FTL), so shift within the
-        # write subsequence only.
+        # Write sequentiality is judged against the *previous write* of
+        # the same sequence (reads interleave freely through the FTL),
+        # so shift within the write subsequence only; each sequence's
+        # first write compares against the drive's cursor.
         w_idx = np.flatnonzero(is_write)
-        rand_writes = 0
+        rand = np.zeros(n, dtype=bool)
         if w_idx.size:
-            w_prev = np.empty(w_idx.size, dtype=np.int64)
-            w_prev[1:] = end_sectors[w_idx[:-1]]
-            w_prev[0] = (
-                self._last_write_end if self._last_write_end is not None else -1
+            seq = np.cumsum(first)[w_idx]
+            w_first = lag(seq, 0, None) != seq
+            w_prev = lag(
+                end_sectors[w_idx],
+                self._last_write_end if self._last_write_end is not None else -1,
+                w_first,
             )
             w_seq = sectors[w_idx] == w_prev
             if self._last_write_end is None:
-                w_seq[0] = False
-            overhead[w_idx[~w_seq]] = spec.random_write_overhead
-            rand_writes = int(np.count_nonzero(~w_seq))
+                w_seq[w_first] = False
+            rand[w_idx[~w_seq]] = True
+        overhead = np.where(rand, spec.random_write_overhead, 0.0)
 
         transfer = nbytes / rate
         total = spec.command_overhead + latency + overhead + transfer
         mean_watts = watts + np.zeros(n, dtype=np.float64)
 
-        r_idx = np.flatnonzero(~is_write)
+        tail = int(np.flatnonzero(first)[-1])
+        r_idx = tail + np.flatnonzero(~is_write[tail:])
+        w_last = tail + np.flatnonzero(is_write[tail:])
         last_read_end = int(end_sectors[r_idx[-1]]) if r_idx.size else None
-        last_write_end = int(end_sectors[w_idx[-1]]) if w_idx.size else None
+        last_write_end = int(end_sectors[w_last[-1]]) if w_last.size else None
+        rand_writes = int(np.count_nonzero(rand[tail:]))
 
         def apply_state() -> None:
             if last_read_end is not None:
@@ -135,57 +142,3 @@ class SolidStateDrive(QueuedDevice):
             self.random_write_count += rand_writes
 
         return VectorService(total, mean_watts, apply_state)
-
-    def service_times_grid(self, sectors, nbytes, ops):
-        """Pure ``(P, n)`` mirror of :meth:`service_times` for grid cells.
-
-        Row ``i`` of the returned ``(seconds, watts)`` matrices is
-        bit-identical to ``service_times(sectors[i], nbytes[i],
-        ops[i])``.  The per-row previous-write chain (write
-        sequentiality is judged against the last *write*, skipping
-        interleaved reads) is vectorized with a running-maximum over
-        write column indices.  Pure: commits no FTL cursor or counter
-        state.
-        """
-        spec = self.spec
-        sectors = np.asarray(sectors, dtype=np.int64)
-        nbytes = np.asarray(nbytes, dtype=np.int64)
-        ops = np.asarray(ops, dtype=np.int64)
-        p, n = sectors.shape
-        if n == 0 or p == 0:
-            empty = np.empty((p, n), dtype=np.float64)
-            return empty, empty.copy()
-        end_sectors = sectors + -(-nbytes // SECTOR_BYTES)
-        is_write = ops == WRITE
-
-        latency = np.where(is_write, spec.write_latency, spec.read_latency)
-        rate = np.where(is_write, spec.write_rate, spec.read_rate)
-        watts = np.where(is_write, spec.write_watts, spec.read_watts)
-
-        # Index of the last write strictly before each column (per row):
-        # a running maximum over write column indices, shifted right.
-        wpos = np.where(is_write, np.arange(n, dtype=np.int64), -1)
-        last_w = np.maximum.accumulate(wpos, axis=1)
-        prev_w = np.empty((p, n), dtype=np.int64)
-        prev_w[:, 1:] = last_w[:, :-1]
-        prev_w[:, 0] = -1
-        gathered = np.take_along_axis(
-            end_sectors, np.maximum(prev_w, 0), axis=1
-        )
-        dev_prev = (
-            self._last_write_end if self._last_write_end is not None else -1
-        )
-        w_prev_end = np.where(prev_w >= 0, gathered, dev_prev)
-        w_seq = is_write & (sectors == w_prev_end)
-        if self._last_write_end is None:
-            # No FTL context: a row's first write is never sequential
-            # (matches the scalar path's explicit ``w_seq[0] = False``).
-            w_seq &= prev_w >= 0
-        overhead = np.where(
-            is_write & ~w_seq, spec.random_write_overhead, 0.0
-        )
-
-        transfer = nbytes / rate
-        total = spec.command_overhead + latency + overhead + transfer
-        mean_watts = watts + np.zeros((p, n), dtype=np.float64)
-        return total, mean_watts

@@ -448,7 +448,6 @@ def run_grid(
     engine: str = "auto",
     parallel="auto",
     max_workers: Optional[int] = None,
-    chunk_bytes: Optional[int] = None,
     capture: bool = False,
 ) -> GridOutcome:
     """Evaluate a (device × trace × load × time-scale) grid in one call.
@@ -495,11 +494,7 @@ def run_grid(
     import time as _time
 
     from ..config import ReplayConfig
-    from ..sim.grid import (
-        DEFAULT_CHUNK_BYTES,
-        GridCell,
-        evaluate_grid_cells,
-    )
+    from ..sim.grid import GridCell, evaluate_grid_cells
 
     t_wall = _time.perf_counter()
     if not isinstance(traces, dict):
@@ -516,7 +511,6 @@ def run_grid(
     face = [
         GridCell(load, ts) for load in loads for ts in time_scales
     ]
-    chunk = chunk_bytes if chunk_bytes is not None else DEFAULT_CHUNK_BYTES
 
     cells: List[GridCellResult] = []
     engines: Dict[str, int] = {}
@@ -529,8 +523,7 @@ def run_grid(
             else:
                 evals = evaluate_grid_cells(
                     trace, factory(), face, config=cfg,
-                    stream_interval=stream_interval, chunk_bytes=chunk,
-                    capture=capture,
+                    stream_interval=stream_interval, capture=capture,
                 )
             pending = [
                 i for i, ev in enumerate(evals)
@@ -603,7 +596,6 @@ def run_policy_search(
     engine: str = "auto",
     parallel="auto",
     max_workers: Optional[int] = None,
-    chunk_bytes: Optional[int] = None,
 ):
     """Sweep energy policies over a replay grid at kernel speed.
 
@@ -629,7 +621,6 @@ def run_policy_search(
     grid = run_grid(
         traces, devices, loads, time_scales,
         config=config, stream_interval=stream_interval, engine=engine,
-        parallel=parallel, max_workers=max_workers, chunk_bytes=chunk_bytes,
-        capture=True,
+        parallel=parallel, max_workers=max_workers, capture=True,
     )
     return evaluate_search(grid, policies, devices, config=config)

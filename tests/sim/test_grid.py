@@ -6,9 +6,9 @@ The contract under test: every cell of a :func:`repro.workload.parallel
 :func:`~repro.replay.session.replay_trace` loop — fused cells against
 forced ``engine="kernel"`` replay, declined cells against the same
 ``engine`` setting the grid was given (so fallback metadata matches a
-serial sweep exactly).  The batched solvers are additionally pinned
-against their 1-D references row by row, including rows forced down the
-shared-head general path.
+serial sweep exactly).  The restart-mask solvers are additionally pinned,
+as one flattened call over a stack of rows, against their per-row and
+scalar references, including rows forced down the general path.
 """
 
 import dataclasses
@@ -16,15 +16,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ReplayConfig
 from repro.errors import ReplayError
 from repro.replay.session import replay_trace
+from repro.sim import grid as grid_mod
+from repro.sim import kernel
 from repro.sim.kernel import (
+    _chain_scalar,
+    _lindley_scalar,
+    _row_restarts,
     _solve_lindley,
-    _solve_lindley_grid,
     _solve_link_chain,
-    _solve_link_chain_grid,
 )
 from repro.storage.array import DiskArray
 from repro.storage.hdd import HardDiskDrive
@@ -52,82 +56,159 @@ def _telemetry_off():
 
 
 # ---------------------------------------------------------------------------
-# Batched solvers vs their 1-D references, row by row
+# Restart-mask solvers: one flattened call vs per-row and scalar references
 
 
 def _row_matrix(rng, n, n_rows):
-    """(P, n) submit matrices whose rows span idle, busy, and mixed
-    regimes — time-scaled copies of one arrival pattern, exactly the
-    shape the grid feeds the solvers."""
+    """(P, n) submit stacks with their service times, spanning idle,
+    busy, mixed and tied regimes — time-scaled copies of one arrival
+    pattern, every row restarting near t = 0, exactly the shape the grid
+    feeds the solvers.  Service is one shared vector (single-phase
+    members) or, last, one row per cell (the RMW fixpoint's per-order
+    plans)."""
     base = np.sort(rng.random(n) * 10.0)
+    base -= base[0] - 1e-3 * rng.random()
     scales = 0.25 + 2.0 * rng.random(n_rows)
     yield np.outer(scales, base), rng.random(n) * 0.01   # mostly idle rows
     yield np.outer(scales, base), rng.random(n) * 10.0   # fully busy rows
     yield np.outer(scales, base), rng.random(n) * 0.5    # mixed / general
     burst = np.repeat(np.arange(n // 4 + 1) * 3.0, 4)[:n]
     yield np.outer(scales, burst), rng.random(n) * 0.4   # tied submits
+    yield np.outer(scales, base), rng.random((n_rows, n)) * 0.3  # per-row
+
+
+def _flat(submit2d, sv):
+    n_rows, n = submit2d.shape
+    sv2d = np.broadcast_to(sv, submit2d.shape)
+    return submit2d.ravel(), np.ascontiguousarray(sv2d).ravel(), sv2d, (
+        _row_restarts(n_rows, n)
+    )
+
+
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    """Record every call that reaches a solver's scalar fallback."""
+    calls = []
+    for name in ("_lindley_scalar", "_chain_scalar"):
+        real = getattr(kernel, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(kernel, name, counted)
+    return calls
 
 
 class TestGridLindleySolver:
     @pytest.mark.parametrize("seed", [3, 17, 59])
     @pytest.mark.parametrize("prev", [_NEG_INF, 2.5])
-    def test_rows_bit_identical_to_1d_solver(self, seed, prev):
+    def test_rows_bit_identical_to_1d_solver(self, seed, prev, scalar_calls):
         rng = np.random.default_rng(seed)
-        for submit, sv in _row_matrix(rng, 193, 9):
-            got = _solve_lindley_grid(submit, sv, prev)
-            for i in range(submit.shape[0]):
-                expect = _solve_lindley(submit[i], sv, prev)
+        for submit2d, sv in _row_matrix(rng, 193, 9):
+            submit, sv_flat, sv2d, restart = _flat(submit2d, sv)
+            got = _solve_lindley(submit, sv_flat, prev, restart)
+            assert np.array_equal(
+                got, _lindley_scalar(submit, sv_flat, prev, restart)
+            )
+            got = got.reshape(submit2d.shape)
+            for i in range(submit2d.shape[0]):
+                expect = _lindley_scalar(submit2d[i], sv2d[i], prev)
                 assert np.array_equal(got[i], expect), f"row {i}"
+                assert np.array_equal(
+                    _solve_lindley(submit2d[i], sv2d[i], prev), expect
+                ), f"row {i}"
+        assert scalar_calls == []
 
-    def test_general_path_rows(self):
+    def test_general_path_rows(self, scalar_calls):
         """Rows engineered to defeat both fast paths (idle gap in the
         middle, saturation elsewhere) must still match bit for bit —
-        this exercises the shared head-column union and refinement."""
+        this exercises per-chain head guesses and refinement."""
         rng = np.random.default_rng(41)
         n = 128
-        submit = np.cumsum(rng.random((7, n)) * 0.2, axis=1)
-        submit[:, n // 2:] += 50.0  # idle restart mid-trace on every row
+        submit2d = np.cumsum(rng.random((7, n)) * 0.2, axis=1)
+        submit2d[:, n // 2:] += 50.0  # idle restart mid-trace on every row
         sv = rng.random(n) * 0.3
-        got = _solve_lindley_grid(submit, sv, 0.0)
+        submit, sv_flat, _, restart = _flat(submit2d, sv)
+        got = _solve_lindley(submit, sv_flat, 0.0, restart).reshape(7, n)
         for i in range(7):
-            assert np.array_equal(got[i], _solve_lindley(submit[i], sv, 0.0))
+            assert np.array_equal(
+                got[i], _lindley_scalar(submit2d[i], sv, 0.0)
+            )
+        assert scalar_calls == []
 
     def test_degenerate_shapes(self):
-        empty = np.empty((3, 0), dtype=np.float64)
-        assert _solve_lindley_grid(empty, np.empty(0)).shape == (3, 0)
-        one = np.array([[2.0], [0.5]])
-        got = _solve_lindley_grid(one, np.array([0.25]), 1.0)
+        empty = np.empty(0, dtype=np.float64)
+        assert _solve_lindley(empty, empty, restart=_row_restarts(3, 0)).size == 0
+        one = np.array([2.0, 0.5])
+        got = _solve_lindley(one, np.array([0.25, 0.25]), 1.0, _row_restarts(2, 1))
         for i in range(2):
             assert np.array_equal(
-                got[i], _solve_lindley(one[i], np.array([0.25]), 1.0)
+                got[i:i + 1], _solve_lindley(one[i:i + 1], np.array([0.25]), 1.0)
             )
+
+    @given(
+        lens=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+        load=st.sampled_from([0.01, 0.3, 1.0, 30.0]),
+        prev=st.sampled_from([_NEG_INF, 0.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_uneven_chains_property(self, lens, load, prev, seed):
+        """Chains of any lengths, restarting at arbitrary positions, match
+        the scalar reference chain by chain."""
+        rng = np.random.default_rng(seed)
+        submit = np.concatenate(
+            [np.sort(rng.random(m) * m * 0.1) for m in lens]
+        )
+        sv = rng.random(submit.size) * load * 0.1
+        restart = np.zeros(submit.size, dtype=bool)
+        restart[np.cumsum([0] + lens[:-1])] = True
+        got = _solve_lindley(submit, sv, prev, restart)
+        at = 0
+        for m in lens:
+            expect = _lindley_scalar(submit[at:at + m], sv[at:at + m], prev)
+            assert np.array_equal(got[at:at + m], expect)
+            at += m
 
 
 class TestGridLinkChainSolver:
     @pytest.mark.parametrize("seed", [5, 23])
     @pytest.mark.parametrize("prev", [_NEG_INF, 1.0])
-    def test_rows_bit_identical_to_1d_solver(self, seed, prev):
+    def test_rows_bit_identical_to_1d_solver(self, seed, prev, scalar_calls):
         rng = np.random.default_rng(seed)
         c = 5e-5
-        for t, p in _row_matrix(rng, 161, 8):
-            gd, gl = _solve_link_chain_grid(t, c, p * 1e-3, prev)
-            for i in range(t.shape[0]):
-                ed, el = _solve_link_chain(t[i], c, p * 1e-3, prev)
+        for t2d, p in _row_matrix(rng, 161, 8):
+            t, p_flat, p2d, restart = _flat(t2d, p * 1e-3)
+            gd, gl = _solve_link_chain(t, c, p_flat, prev, restart)
+            sd, sl = _chain_scalar(t, c, p_flat, prev, restart)
+            assert np.array_equal(gd, sd)
+            assert np.array_equal(gl, sl)
+            gd, gl = gd.reshape(t2d.shape), gl.reshape(t2d.shape)
+            for i in range(t2d.shape[0]):
+                ed, el = _chain_scalar(t2d[i], c, p2d[i], prev)
                 assert np.array_equal(gd[i], ed), f"row {i}"
                 assert np.array_equal(gl[i], el), f"row {i}"
+                rd, rl = _solve_link_chain(t2d[i], c, p2d[i], prev)
+                assert np.array_equal(rd, ed), f"row {i}"
+                assert np.array_equal(rl, el), f"row {i}"
+        assert scalar_calls == []
 
-    def test_general_path_rows(self):
+    def test_general_path_rows(self, scalar_calls):
         rng = np.random.default_rng(43)
         n = 96
-        t = np.cumsum(rng.random((6, n)) * 1e-4, axis=1)
-        t[:, n // 3:] += 2.0
-        t[:, 2 * n // 3:] += 2.0
+        t2d = np.cumsum(rng.random((6, n)) * 1e-4, axis=1)
+        t2d[:, n // 3:] += 2.0
+        t2d[:, 2 * n // 3:] += 2.0
         p = rng.random(n) * 1e-3
-        gd, gl = _solve_link_chain_grid(t, 5e-5, p, 0.0)
+        t, p_flat, _, restart = _flat(t2d, p)
+        gd, gl = _solve_link_chain(t, 5e-5, p_flat, 0.0, restart)
+        gd, gl = gd.reshape(6, n), gl.reshape(6, n)
         for i in range(6):
-            ed, el = _solve_link_chain(t[i], 5e-5, p, 0.0)
+            ed, el = _chain_scalar(t2d[i], 5e-5, p, 0.0)
             assert np.array_equal(gd[i], ed)
             assert np.array_equal(gl[i], el)
+        assert scalar_calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -247,27 +328,28 @@ class TestGridVsPerPointKernel:
             )
             assert _canon(cell.result) == _canon(serial), cell.key
 
-    def test_rmw_chunking_invariance(self):
-        """The RMW solver's per-order-class batching must be chunk-size
-        neutral: a tiny budget means more, smaller order classes per
-        solve, and not one bit of drift."""
+    def test_rmw_chunking_invariance(self, monkeypatch):
+        """The RMW fixpoint's row batching must be chunk-size neutral: a
+        tiny budget solves one cell per fixpoint, and not one bit of
+        drift."""
         trace = _mixed_trace(write_every=2)
         big = run_grid(
             {"t": trace}, {"d": _raid5},
             loads=LOADS, time_scales=(1.0, 1.25, 1.5, 2.0),
             engine="kernel", parallel=False,
         )
+        monkeypatch.setattr(grid_mod, "DEFAULT_CHUNK_BYTES", 4096)
         tiny = run_grid(
             {"t": trace}, {"d": _raid5},
             loads=LOADS, time_scales=(1.0, 1.25, 1.5, 2.0),
-            engine="kernel", parallel=False, chunk_bytes=4096,
+            engine="kernel", parallel=False,
         )
         assert big.fused_cells == tiny.fused_cells == 8
         assert [_canon(c.result) for c in big.cells] == [
             _canon(c.result) for c in tiny.cells
         ]
 
-    def test_chunking_invariance(self):
+    def test_chunking_invariance(self, monkeypatch):
         """A pathologically small chunk budget splits the face into many
         slabs; results must not move by a single bit."""
         trace = _read_trace()
@@ -276,10 +358,11 @@ class TestGridVsPerPointKernel:
             loads=LOADS, time_scales=(1.0, 1.25, 1.5, 2.0),
             engine="kernel", parallel=False,
         )
+        monkeypatch.setattr(grid_mod, "DEFAULT_CHUNK_BYTES", 4096)
         tiny = run_grid(
             {"t": trace}, {"d": _raid5},
             loads=LOADS, time_scales=(1.0, 1.25, 1.5, 2.0),
-            engine="kernel", parallel=False, chunk_bytes=4096,
+            engine="kernel", parallel=False,
         )
         assert [_canon(c.result) for c in big.cells] == [
             _canon(c.result) for c in tiny.cells
