@@ -47,7 +47,10 @@ def _emit_json():
     """Write the collected numbers once the module's benches finish."""
     yield
     if _RESULTS:
-        # Schema 7: adds the raid5_write_kernel_vs_event section (the
+        # Schema 8: adds raid5_write_kernel_vs_event.convergence_matrix
+        # (the 64-cell mixed-write matrix whose RMW fixpoint once hit its
+        # pass cap; gated on zero fallback cells).
+        # Schema 7 added the raid5_write_kernel_vs_event section (the
         # two-phase RMW barrier solver: mixed-write RAID-5 replay on the
         # kernel and the grid-fused matrix, both gated against the event
         # engine).  Schema 6 added fleet_tracing_disabled_overhead
@@ -57,7 +60,7 @@ def _emit_json():
         # vs the naive per-(cell × policy) replay loop); schema 4 added
         # grid_vs_serial_kernel and reworked sweep_shared_memory around
         # the kernel-aware "auto" mode.
-        payload = {"schema": 7, "results": _RESULTS}
+        payload = {"schema": 8, "results": _RESULTS}
         if _BREAKDOWN:
             payload["breakdown"] = _BREAKDOWN
         _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True))
@@ -686,7 +689,8 @@ def test_raid5_write_kernel_vs_event():
     """Acceptance gate: mixed-write RAID-5 replay through the two-phase
     RMW kernel is ≥15× the event engine on a single point and the
     grid-fused write-heavy matrix is ≥8× per-point event replay — both
-    bit-identical.
+    bit-identical — and every cell of the realistic-size convergence
+    matrix fuses (zero event fallbacks).
 
     Before the vectorized write planner, any WRITE in the op vector
     disqualified RAID-5 from the kernel entirely: single points ran the
@@ -782,6 +786,24 @@ def test_raid5_write_kernel_vs_event():
         f"{len(outcome.cells)} cells): event {serial_seconds:.2f}s, "
         f"grid {grid_seconds:.2f}s, {grid_speedup:.1f}x"
     )
+
+    # -- Convergence matrix: realistic size, every cell must fuse -----
+    # 5k bunches at 60% reads over hdd-raid5x6, loads {0.5, 1.0} x 32
+    # time scales.  Four of these cells need 37-70 RMW fixpoint passes;
+    # under the old 32-pass cap each fell back to an event replay.
+    matrix_scales = tuple(round(0.5 + 1.5 * i / 31, 4) for i in range(32))
+    matrix_trace = {"read60": _grid_trace(5000, 60, seed=12)}
+    t0 = time.perf_counter()
+    matrix = run_grid(
+        matrix_trace, {"hdd-raid5x6": partial(build_hdd_raid5, 6)},
+        loads=(0.5, 1.0), time_scales=matrix_scales, parallel=False,
+    )
+    matrix_seconds = time.perf_counter() - t0
+    matrix_fallback = sum(cell.engine != "kernel" for cell in matrix.cells)
+    print(
+        f"raid5 write convergence matrix ({len(matrix.cells)} cells): "
+        f"grid {matrix_seconds:.2f}s, {matrix_fallback} fallback cells"
+    )
     _RESULTS["raid5_write_kernel_vs_event"] = {
         "single_point": {
             "bunches": N_BUNCHES,
@@ -802,6 +824,14 @@ def test_raid5_write_kernel_vs_event():
             "speedup": grid_speedup,
             "bit_identical": grid_identical,
         },
+        "convergence_matrix": {
+            "cells": len(matrix.cells),
+            "bunches": 5000,
+            "read_pct": 60,
+            "device": "hdd-raid5x6",
+            "fallback_cells": matrix_fallback,
+            "grid_seconds": matrix_seconds,
+        },
         "bit_identical": point_identical and grid_identical,
     }
     assert point_speedup >= 15.0, (
@@ -810,6 +840,7 @@ def test_raid5_write_kernel_vs_event():
     assert grid_speedup >= 8.0, (
         f"RMW grid only {grid_speedup:.1f}x vs per-point event replay"
     )
+    assert matrix_fallback == 0, matrix.fallback_reasons
 
 
 def test_grid_vs_serial_kernel():

@@ -74,6 +74,7 @@ from .kernel import (
     _solve_link_chain,
     _solve_rows,
     _solve_two_phase,
+    _structure_reason,
     _tick_boundaries,
 )
 
@@ -260,12 +261,15 @@ def evaluate_grid_cells(
     cells = list(cells)
     if len(trace) == 0:
         raise ReplayError("cannot replay an empty trace")
-    if not isinstance(trace, PackedTrace):
-        return [CellEval(None, "object-trace replay") for _ in cells]
     from ..telemetry import get_registry
 
-    if get_registry().enabled:
-        return [CellEval(None, "telemetry registry enabled") for _ in cells]
+    reason = _structure_reason(device)
+    if reason is None and not isinstance(trace, PackedTrace):
+        reason = "object-trace replay"
+    if reason is None and get_registry().enabled:
+        reason = "telemetry registry enabled"
+    if reason is not None:
+        return [CellEval(None, reason) for _ in cells]
 
     from ..obslog import get_logger
     from ..replay.session import ReplaySession

@@ -67,16 +67,12 @@ from .engine import Simulator
 
 #: Segmented-solver refinement passes before falling back to the exact
 #: scalar loop (each pass only ever *adds* idle-start heads, so ten
-#: passes resolve all but adversarial arrival patterns).
+#: passes resolve all but adversarial arrival patterns).  Like the
+#: seed-wave cap below, this bounds cost only: the fallback is an exact
+#: loop in this module, never the event engine.  The RMW barrier
+#: fixpoint (:func:`_solve_two_phase`) has no cap at all — its causal
+#: frontier strictly advances every pass.
 _MAX_PASSES = 10
-
-#: Two-phase RMW barrier fixpoint passes.  Each pass propagates one more
-#: level of the pre-read -> parity-write dependency chain, so congested
-#: write queues need more passes than the segmented refinements above
-#: (a saturated 600-package stripe mix takes ~11); the fixpoint itself
-#: is unique, so the cap only decides fuse-vs-fallback, never the
-#: numbers.
-_MAX_RMW_PASSES = 32
 
 #: Sampling-window count cap: beyond this the closed-form window walk
 #: costs more than the event path saves.
@@ -525,41 +521,59 @@ def _qualify_member(dev: StorageDevice) -> Optional[str]:
     return None
 
 
-def _qualify_device(device: StorageDevice, trace: PackedTrace) -> Optional[str]:
-    """None if the target qualifies for the analytical kernel.
+def _structure_reason(device: StorageDevice) -> Optional[str]:
+    """Why the target's structure rules the kernel out (``None`` if not).
 
-    Checks run in a documented, deterministic order so the recorded
-    fallback reason is stable when several apply: array-level structure
-    first (subclass, empty enclosure, instrumentation, degraded state,
-    RAID level), then the member disks in disk-index order.  A RAID-5
-    array that cannot take the kernel for a structural reason therefore
-    reports *that* reason — never whichever member check happens to
-    fire first (see ``tests/sim/test_kernel.py``).
+    Array-level structure only — subclass, empty enclosure, degraded
+    state, RAID level — plus device models without a kernel contract.
+    These hold whatever the process-wide telemetry setting, so callers
+    check them before the telemetry registry: a degraded array reports
+    "array degraded or rebuilding" with telemetry on or off.
     """
     if isinstance(device, DiskArray):
         if type(device) is not DiskArray:
             return f"array subclass {type(device).__name__}"
         if device.geometry is None:
             return "array has no disks installed"
-        if "_plan" in device.__dict__:
-            return "telemetry-instrumented array"
         if device.failed_disk is not None or device.rebuilding:
             return "array degraded or rebuilding"
         level = device.geometry.level
         if level not in (RaidLevel.JBOD, RaidLevel.RAID0, RaidLevel.RAID5):
             # RAID-1/10 round-robin mirror reads through planner state.
             return f"raid level {level.value} mutates planner state"
+        return None
+    if not isinstance(device, QueuedDevice):
+        return f"device model {type(device).__name__} has no kernel contract"
+    return None
+
+
+def _qualify_device(device: StorageDevice, trace: PackedTrace) -> Optional[str]:
+    """None if the target qualifies for the analytical kernel.
+
+    Checks run in a documented, deterministic order so the recorded
+    fallback reason is stable when several apply: array-level structure
+    first (:func:`_structure_reason`: subclass, empty enclosure,
+    degraded state, RAID level), then instrumentation, then the member
+    disks in disk-index order.  A RAID-5 array that cannot take the
+    kernel for a structural reason therefore reports *that* reason —
+    never whichever member check happens to fire first (see
+    ``tests/sim/test_kernel.py``).
+    """
+    reason = _structure_reason(device)
+    if reason is not None:
+        return reason
+    if isinstance(device, DiskArray):
+        if "_plan" in device.__dict__:
+            return "telemetry-instrumented array"
         for disk in device.disks:
             reason = _qualify_member(disk)
             if reason is not None:
                 return f"{disk.name}: {reason}"
         return None
-    if isinstance(device, QueuedDevice):
-        reason = _qualify_member(device)
-        if reason is not None:
-            return f"{device.name}: {reason}"
-        return None
-    return f"device model {type(device).__name__} has no kernel contract"
+    reason = _qualify_member(device)
+    if reason is not None:
+        return f"{device.name}: {reason}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -738,12 +752,121 @@ class _Served:
     apply_state: Callable[[], None] = _noop
 
 
+class RMWFrontierError(RuntimeError):
+    """The RMW fixpoint's causal frontier failed to advance — an internal
+    invariant of :func:`_solve_two_phase` broke (a bug, not a decline)."""
+
+
+def _spans(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integer ranges ``[lo[i], hi[i])`` concatenated."""
+    lens = hi - lo
+    starts = np.cumsum(lens) - lens
+    return np.arange(int(lens.sum())) + np.repeat(lo - starts, lens)
+
+
+def _advance_frontier(
+    prev: np.ndarray, moved: np.ndarray, old: np.ndarray, new: np.ndarray
+) -> np.ndarray:
+    """Each row's causal frontier after one RMW fixpoint pass.
+
+    The frontier is the earliest post arrival the pass changed, over its
+    old and new values (``inf`` once nothing moved).  Every flight
+    dispatched before it is final, and the next pass can only move
+    flights dispatched at or after it, whose posts land strictly later —
+    so a live row's frontier must strictly advance.  If it does not, the
+    solver's causality invariant broke: raise rather than decline.
+    """
+    front = np.where(moved, np.minimum(old, new), np.inf).min(axis=1)
+    stalled = np.flatnonzero(front <= prev)
+    if stalled.size:
+        i = int(stalled[0])
+        raise RMWFrontierError(
+            f"rmw frontier stalled on row {i}: {front[i]!r} after {prev[i]!r}"
+        )
+    return front
+
+
+def _serve_from_frontier(
+    disk: QueuedDevice,
+    rows: np.ndarray,
+    s: _Served,
+    seconds: np.ndarray,
+    exp: FlightExpansion,
+    arr: np.ndarray,
+    sub_fin: np.ndarray,
+    redo: np.ndarray,
+    front: np.ndarray,
+) -> Optional[VectorService]:
+    """Re-serve one member's ``redo`` rows from their causal frontiers.
+
+    A row's sub-I/Os arriving before its frontier ``front`` keep their
+    serving positions, service seconds and finishes; only the tail
+    arriving at or after it is re-sorted (stable, so plan order breaks
+    ties exactly like the event calendar) and re-solved, seeded with
+    the frozen prefix's last finish through a zero-service
+    pseudo-request.  When the tail's order changed, the row's service
+    plan is recomputed (service depends only on the request sequence,
+    never on the clock); otherwise its plan is reused.  Updates
+    ``s.order``, ``s.watts``, ``seconds`` and ``sub_fin`` in place and
+    returns the new plan, if any.
+    """
+    k = rows.size
+    total = exp.total
+    n_redo = redo.size
+    a2d = arr.reshape(-1).take((redo * total)[:, None] + rows)
+    # Flat row-major positions, so each row's live sub-I/Os come in plan
+    # order.  Every redo row has one: a moved post lands at or after the
+    # frontier.
+    live = np.flatnonzero(a2d >= front[redo, None])
+    vals = a2d.reshape(-1).take(live)
+    ends = np.searchsorted(live, np.arange(1, n_redo + 1) * k)
+    cnt = np.diff(ends, prepend=0)
+    lo = ends - cnt
+    srt = np.empty(live.size, dtype=np.int64)
+    for a, b in zip(lo.tolist(), ends.tolist()):
+        srt[a:b] = a + np.argsort(vals[a:b], kind="stable")
+    tail = rows.take(live.take(srt) - np.repeat(np.arange(0, n_redo * k, k), cnt))
+    head = k - cnt
+    at = _spans(redo * k + head, (redo + 1) * k)
+    order = s.order.reshape(-1)
+    replan = np.logical_or.reduceat(order[at] != tail, lo)
+    order[at] = tail
+    svc = None
+    if replan.any():
+        rp = redo[replan]
+        perm = s.order[rp].ravel()
+        svc = disk.service_times(  # type: ignore[attr-defined]
+            exp.sector.take(perm), exp.nbytes.take(perm), exp.op.take(perm),
+            _row_restarts(rp.size, k),
+        )
+        seconds[rp] = svc.seconds.reshape(-1, k)
+        s.watts[rp] = svc.watts.reshape(-1, k)
+    # One flattened Lindley solve: each row's tail behind a pseudo-request
+    # finishing at the frozen prefix's last finish (a fresh row seeds at
+    # its first arrival, which leaves that arrival's start unchanged).
+    lead = lo + np.arange(n_redo)
+    body = np.arange(live.size) + np.repeat(np.arange(1, n_redo + 1), cnt)
+    submit = np.empty(live.size + n_redo, dtype=np.float64)
+    sv = np.zeros(live.size + n_redo, dtype=np.float64)
+    submit[body] = vals[srt]
+    sv[body] = seconds.reshape(-1)[at]
+    prior = order[np.maximum(redo * k + head - 1, redo * k)]
+    submit[lead] = np.where(
+        head > 0, sub_fin.reshape(-1)[redo * total + prior], vals[srt[lo]]
+    )
+    restart = np.zeros(submit.size, dtype=bool)
+    restart[lead] = True
+    fin = _solve_lindley(submit, sv, restart=restart)
+    np.put(sub_fin, np.repeat(redo * total, cnt) + tail, fin[body])
+    return svc
+
+
 def _solve_two_phase(
     device: DiskArray,
     exp: FlightExpansion,
     dispatch: np.ndarray,
 ) -> Tuple[np.ndarray, List[Optional[_Served]], List[Optional[str]]]:
-    """Solve the per-flight two-phase (RMW) barrier to a verified fixpoint.
+    """Solve the per-flight two-phase (RMW) barrier to its exact fixpoint.
 
     The event path issues a flight's ``pre`` reads at its dispatch
     instant and its ``post`` writes the moment the last pre read
@@ -758,29 +881,40 @@ def _solve_two_phase(
     any dispatch tied with them, and a flight's pre block precedes its
     post block), (b) recompute that order's service plan and Lindley
     finishes, (c) reduce each flight's pre block to its barrier instant.
-    Exact float convergence of the arrival vector means the evaluated
-    schedule is self-consistent, and causality (service times are
-    positive, posts issue strictly after their pre reads) makes the
-    event engine's schedule the *unique* fixpoint — so the converged
-    arrivals are bit-identical to the event path's.
+
+    **Convergence by construction.**  A flight's barrier depends only on
+    member arrivals at or before its dispatch, and posts land strictly
+    after their dispatch.  So if ``F`` is the earliest post arrival a
+    pass changed (over old and new values), every flight dispatched
+    before ``F`` is final, and the flight that sets the next pass's
+    ``F`` was dispatched below it: each pass finalises at least one more
+    flight, and the iteration stops after at most one pass per RMW
+    flight plus one, at the event engine's schedule — the unique
+    fixpoint, so the arrivals are bit-identical to the event path's.
+    There is no pass cap; :func:`_advance_frontier` checks on every pass
+    that each live row's frontier strictly advanced and raises
+    :class:`RMWFrontierError` if not.
+
+    The same frontier bounds each pass's work: the sub-I/Os a member
+    receives before it keep their order, service and finishes, so only
+    the tail from the frontier on is re-sorted and re-solved
+    (:func:`_serve_from_frontier`).
 
     ``dispatch`` holds ``P`` independent rows of flight dispatch
     instants — one per grid cell; point replay passes one row.  Every
-    pass solves all still-active rows of a member at once (one argsort,
-    one service plan and one Lindley solve, flattened with a restart
-    per row), with three exact shortcuts: a row whose post arrivals at
-    a member did not move keeps its finishes, a row whose serving
-    *order* did not change reuses its service plan (service depends
-    only on the request sequence, never on the clock), and a converged
-    row — a fixpoint of a deterministic map — retires from the pass.
+    pass solves all still-active rows of a member at once (one service
+    plan and one Lindley solve, flattened with a restart per row), with
+    three exact shortcuts: a row whose post arrivals at a member did not
+    move keeps its finishes, a row whose serving *order* did not change
+    reuses its service plan, and a converged row retires from the pass.
 
     Returns ``(sub_fin, served, reasons)``: ``(P, total)`` sub-I/O
     finish times in plan order, one :class:`_Served` per member
     (``None`` for a member that serves nothing), and per row the reason
     the closed form cannot reproduce it (``None`` when it can): a
-    service-model refusal, non-convergence, or arrival ties the event
-    calendar would break by schedule sequence numbers (two RMW barriers
-    releasing at one instant).
+    service-model refusal, or arrival ties the event calendar would
+    break by schedule sequence numbers (two RMW barriers releasing at
+    one instant).
     """
     n_rows = dispatch.shape[0]
     sub_flight = exp.sub_flight
@@ -798,11 +932,11 @@ def _solve_two_phase(
     feeds = [sub_flight[rows[post_mask[rows]]] for rows in disk_rows]
 
     sub_fin = np.empty((n_rows, exp.total), dtype=np.float64)
-    # Each member's serving order and plan Watts; the arrival and finish
-    # columns are gathered once the rows have converged.
+    # Each member's serving order (-1 until first served, so the first
+    # pass plans every row) and plan Watts, and its plan seconds.
     served: List[Optional[_Served]] = [
         _Served(
-            np.zeros((n_rows, rows.size), dtype=np.int64),
+            np.full((n_rows, rows.size), -1, dtype=np.int64),
             _EMPTY,
             _EMPTY,
             np.empty((n_rows, rows.size), dtype=np.float64),
@@ -811,74 +945,55 @@ def _solve_two_phase(
         else None
         for rows in disk_rows
     ]
-    base = dispatch.take(sub_flight, axis=1)
+    seconds = [
+        np.empty((n_rows, rows.size), dtype=np.float64) for rows in disk_rows
+    ]
+    # Every sub-I/O's current arrival; posts start at their dispatch.
+    arr = dispatch.take(sub_flight, axis=1)
     post = dispatch.copy()
+    front = np.full(n_rows, _NEG_INF)
     act = np.arange(n_rows)
-    # Active rows only: each member's current service seconds, and which
-    # flights' post arrivals moved in the previous pass.
-    seconds: List[Optional[np.ndarray]] = [None] * len(disk_rows)
+    # Which of the active rows' flights moved their post in the last pass.
     moved: Optional[np.ndarray] = None
+    refusal: Optional[str] = None
     try:
-        for _ in range(_MAX_RMW_PASSES):
-            arr = base[act]
-            arr[:, post_idx] = post[act].take(post_at, axis=1)
+        while act.size:
             for di, rows in enumerate(disk_rows):
                 s = served[di]
                 if s is None:
                     continue
-                k = rows.size
-                if moved is None:
-                    redo = np.arange(act.size)
-                else:
-                    redo = np.flatnonzero(moved[:, feeds[di]].any(axis=1))
-                    if not redo.size:
-                        continue
-                a2d = arr.take(rows, axis=1)[redo]
-                srt = np.argsort(a2d, axis=1, kind="stable")
-                perm = rows[srt]
-                ri = act[redo]
-                if moved is None:
-                    seconds[di] = np.empty((act.size, k), dtype=np.float64)
-                    replan = np.ones(redo.size, dtype=bool)
-                else:
-                    replan = (perm != s.order[ri]).any(axis=1)
-                if replan.any():
-                    pp = perm[replan].ravel()
-                    svc = device.disks[di].service_times(
-                        exp.sector.take(pp), exp.nbytes.take(pp),
-                        exp.op.take(pp), _row_restarts(int(replan.sum()), k),
-                    )
-                    seconds[di][redo[replan]] = svc.seconds.reshape(-1, k)
-                    s.watts[ri[replan]] = svc.watts.reshape(-1, k)
-                    s.apply_state = svc.apply_state
-                s.order[ri] = perm
-                # Flat positions into the (redo, k) block: ``take`` on
-                # flat indices beats 2-D fancy indexing.
-                srt += np.arange(0, srt.size, k)[:, None]
-                fin = _solve_rows(a2d.take(srt), seconds[di][redo])
-                np.put(sub_fin, ri[:, None] * exp.total + perm, fin)
+                redo = (
+                    act if moved is None
+                    else act[moved[:, feeds[di]].any(axis=1)]
+                )
+                if not redo.size:
+                    continue
+                plan = _serve_from_frontier(
+                    device.disks[di], rows, s, seconds[di], exp, arr, sub_fin,
+                    redo, front,
+                )
+                if plan is not None:
+                    s.apply_state = plan.apply_state
             new_post = dispatch[act]
             new_post[:, pre_flights] = np.maximum.reduceat(
                 sub_fin[act].take(pre_idx, axis=1), pre_seg, axis=1
             )
-            moved = new_post != post[act]
+            old = post[act]
+            moved = new_post != old
+            front[act] = _advance_frontier(front[act], moved, old, new_post)
             post[act] = new_post
+            arr[act[:, None], post_idx] = new_post.take(post_at, axis=1)
             live = moved.any(axis=1)
             act, moved = act[live], moved[live]
-            seconds = [None if sec is None else sec[live] for sec in seconds]
-            if not act.size:
-                break
-        stuck = "rmw barrier schedule did not converge"
     except StorageIOError as exc:
-        stuck = str(exc)
+        refusal = str(exc)
     reasons: List[Optional[str]] = [None] * n_rows
     for i in act.tolist():
-        reasons[i] = stuck
-    base[:, post_idx] = post.take(post_at, axis=1)
+        reasons[i] = refusal
     cell = np.arange(n_rows)[:, None]
     for s in served:
         if s is not None:
-            s.submit = base[cell, s.order]
+            s.submit = arr[cell, s.order]
             s.fin = sub_fin[cell, s.order]
 
     # Arrival ties the event calendar breaks by sequence number cannot
@@ -1177,6 +1292,9 @@ def try_kernel_replay(
     """
     from ..telemetry import get_registry
 
+    reason = _structure_reason(device)
+    if reason is not None:
+        return None, reason
     if get_registry().enabled:
         return None, "telemetry registry enabled"
     if not isinstance(trace, PackedTrace):

@@ -197,53 +197,62 @@ class HardDiskDrive(QueuedDevice):
         switched = ops != prev_op
         if self._last_op is None:
             switched[first] = False
-        turnaround = np.where(
-            switched,
-            np.where(
-                is_write,
-                spec.read_to_write_turnaround,
-                spec.write_to_read_turnaround,
-            ),
-            0.0,
-        )
+        # Per-op constants are looked up (index 1 = write) and masks are
+        # applied by multiplying with booleans: exact on these
+        # non-negative values (x * 1.0 == x, x * 0.0 == 0.0) and free of
+        # the data-dependent branches a masked select costs.
+        op_at = is_write.astype(np.intp)
+        turnaround = np.array(
+            [spec.write_to_read_turnaround, spec.read_to_write_turnaround]
+        ).take(op_at)
+        turnaround *= switched
 
         # Seek from the head position, which the scalar path always
-        # leaves at the previous request's end sector.
+        # leaves at the previous request's end sector.  The arithmetic
+        # runs in place, in the scalar path's operand order up to
+        # commutation (which IEEE arithmetic makes exact).
         head = lag(end_sectors, self._head_sector, first)
-        distance = np.abs(sectors - head)
-        cap = max(self.capacity_sectors, 1)
-        seek = np.where(
-            distance == 0,
-            0.0,
-            spec.settle_time + spec.seek_coefficient * np.sqrt(distance / cap),
-        )
-        rotation = np.full(n, spec.mean_rotational_latency)
+        distance = sectors - head
+        np.abs(distance, out=distance)
+        seek = distance / max(self.capacity_sectors, 1)
+        np.sqrt(seek, out=seek)
+        seek *= spec.seek_coefficient
+        seek += spec.settle_time
+        rotation = np.full(2, spec.mean_rotational_latency)
         if spec.write_cache:
-            seek = np.where(is_write, seek * spec.destage_seek_factor, seek)
-            rotation = np.where(
-                is_write, rotation * spec.destage_seek_factor, rotation
-            )
-        seek = np.where(sequential, 0.0, seek)
-        rotation = np.where(sequential, 0.0, rotation)
+            # Write-back destaging: a fraction of a cold positioning cost.
+            seek *= np.array([1.0, spec.destage_seek_factor]).take(op_at)
+            rotation[1] *= spec.destage_seek_factor
+        rotation = rotation.take(op_at)
+        positioned = ~sequential
+        seek *= positioned & (distance != 0)
+        rotation *= positioned
         tail = int(np.flatnonzero(first)[-1])
         seeks = int(np.count_nonzero(seek[tail:] > 0))
 
-        frac = np.minimum(
-            np.maximum(sectors / max(spec.capacity_sectors, 1), 0.0), 1.0
-        )
-        rate = spec.outer_rate - (spec.outer_rate - spec.inner_rate) * frac
+        rate = sectors / max(spec.capacity_sectors, 1)
+        np.maximum(rate, 0.0, out=rate)
+        np.minimum(rate, 1.0, out=rate)
+        rate *= spec.outer_rate - spec.inner_rate
+        np.subtract(spec.outer_rate, rate, out=rate)
         transfer = nbytes / rate
-        total = spec.command_overhead + turnaround + seek + rotation + transfer
+        total = turnaround + spec.command_overhead
+        busy = total + seek
+        busy += rotation
+        busy += transfer
 
-        xfer_watts = np.where(is_write, spec.write_watts, spec.read_watts)
-        energy = (
-            (spec.command_overhead + turnaround + rotation)
-            * spec.rotate_wait_watts
-            + seek * spec.seek_watts
-            + transfer * xfer_watts
-        )
+        # Energy: (overhead + turnaround + rotation) at rotate-wait power,
+        # seek at seek power, transfer at the op's power.
+        total += rotation
+        total *= spec.rotate_wait_watts
+        seek *= spec.seek_watts
+        total += seek
+        xfer = np.array([spec.read_watts, spec.write_watts]).take(op_at)
+        xfer *= transfer
+        total += xfer
         mean_watts = np.full(n, spec.idle_watts)
-        np.divide(energy, total, out=mean_watts, where=total > 0)
+        np.divide(total, busy, out=mean_watts, where=busy > 0)
+        total = busy
 
         last_end = int(end_sectors[-1])
         last_op = int(ops[-1])
