@@ -757,13 +757,6 @@ class RMWFrontierError(RuntimeError):
     invariant of :func:`_solve_two_phase` broke (a bug, not a decline)."""
 
 
-def _spans(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The integer ranges ``[lo[i], hi[i])`` concatenated."""
-    lens = hi - lo
-    starts = np.cumsum(lens) - lens
-    return np.arange(int(lens.sum())) + np.repeat(lo - starts, lens)
-
-
 def _advance_frontier(
     prev: np.ndarray, moved: np.ndarray, old: np.ndarray, new: np.ndarray
 ) -> np.ndarray:
@@ -819,15 +812,19 @@ def _serve_from_frontier(
     # frontier.
     live = np.flatnonzero(a2d >= front[redo, None])
     vals = a2d.reshape(-1).take(live)
-    ends = np.searchsorted(live, np.arange(1, n_redo + 1) * k)
-    cnt = np.diff(ends, prepend=0)
-    lo = ends - cnt
+    bounds = np.searchsorted(live, np.arange(n_redo + 1) * k)
+    lo, ends = bounds[:-1], bounds[1:]
+    cnt = ends - lo
     srt = np.empty(live.size, dtype=np.int64)
     for a, b in zip(lo.tolist(), ends.tolist()):
         srt[a:b] = a + np.argsort(vals[a:b], kind="stable")
-    tail = rows.take(live.take(srt) - np.repeat(np.arange(0, n_redo * k, k), cnt))
-    head = k - cnt
-    at = _spans(redo * k + head, (redo + 1) * k)
+    # Each tail entry's row (within ``redo``) and position in the tails.
+    row = np.repeat(np.arange(n_redo), cnt)
+    step = np.arange(live.size)
+    tail = rows.take(live.take(srt) - row * k)
+    # Flat positions of the tails in the (P, k) member matrices: row
+    # ``redo[i]`` serves its tail at positions ``k - cnt[i]`` onward.
+    at = ((redo + 1) * k - ends).take(row) + step
     order = s.order.reshape(-1)
     replan = np.logical_or.reduceat(order[at] != tail, lo)
     order[at] = tail
@@ -844,20 +841,20 @@ def _serve_from_frontier(
     # One flattened Lindley solve: each row's tail behind a pseudo-request
     # finishing at the frozen prefix's last finish (a fresh row seeds at
     # its first arrival, which leaves that arrival's start unchanged).
+    body = step + row + 1
     lead = lo + np.arange(n_redo)
-    body = np.arange(live.size) + np.repeat(np.arange(1, n_redo + 1), cnt)
     submit = np.empty(live.size + n_redo, dtype=np.float64)
     sv = np.zeros(live.size + n_redo, dtype=np.float64)
-    submit[body] = vals[srt]
-    sv[body] = seconds.reshape(-1)[at]
-    prior = order[np.maximum(redo * k + head - 1, redo * k)]
+    submit[body] = vals.take(srt)
+    sv[body] = seconds.reshape(-1).take(at)
+    prior = order.take(np.maximum(at.take(lo) - 1, 0))
     submit[lead] = np.where(
-        head > 0, sub_fin.reshape(-1)[redo * total + prior], vals[srt[lo]]
+        cnt < k, sub_fin.reshape(-1).take(redo * total + prior), submit[lead + 1]
     )
     restart = np.zeros(submit.size, dtype=bool)
     restart[lead] = True
     fin = _solve_lindley(submit, sv, restart=restart)
-    np.put(sub_fin, np.repeat(redo * total, cnt) + tail, fin[body])
+    np.put(sub_fin, (redo * total).take(row) + tail, fin.take(body))
     return svc
 
 
