@@ -50,6 +50,7 @@ import numpy as np
 
 from ..errors import ReplayError
 from ..power.analyzer import PowerAnalyzer
+from ..power.model import EnergyMeter, FrozenTimeline
 
 __all__ = [
     "Policy",
@@ -121,16 +122,19 @@ def _member_spec(member) -> MemberSpec:
     )
 
 
-class PowerProgram:
+class PowerProgram(FrozenTimeline):
     """Piecewise-constant power over ``[0, end]`` with exact integrals.
 
     Segments must be sorted and non-overlapping; zero- and
     negative-length segments are dropped at construction (mirroring
     ``PowerTimeline.add_segment``).  Uncovered spans draw zero watts,
-    so policies must emit explicit idle segments for awake gaps.
+    so policies must emit explicit idle segments for awake gaps: a
+    program is a zero-baseline timeline, whose window integrals round
+    exactly as a bare prefix-sum difference would (``x - 0.0 == x`` and
+    ``0.0 + x == x``).
     """
 
-    __slots__ = ("starts", "ends", "watts", "_cum")
+    __slots__ = ()
 
     def __init__(
         self, starts: np.ndarray, ends: np.ndarray, watts: np.ndarray
@@ -141,12 +145,8 @@ class PowerProgram:
         keep = ends > starts
         if not bool(np.all(keep)):
             starts, ends, watts = starts[keep], ends[keep], watts[keep]
-        self.starts = starts
-        self.ends = ends
-        self.watts = watts
-        self._cum = np.concatenate(
-            (np.zeros(1), np.cumsum(watts * (ends - starts)))
-        )
+        cum = np.concatenate((np.zeros(1), np.cumsum(watts * (ends - starts))))
+        super().__init__(starts, ends, watts, cum, 0.0)
 
     @classmethod
     def concat(
@@ -168,20 +168,6 @@ class PowerProgram:
         order = np.argsort(starts, kind="stable")
         return cls(starts[order], ends[order], watts[order])
 
-    def _energy_upto(self, t: float) -> float:
-        idx = int(np.searchsorted(self.starts, t, side="right"))
-        total = float(self._cum[idx])
-        if idx > 0:
-            seg_end = float(self.ends[idx - 1])
-            if seg_end > t:
-                total -= float(self.watts[idx - 1]) * (seg_end - t)
-        return total
-
-    def energy_between(self, t0: float, t1: float) -> float:
-        if t1 == t0:
-            return 0.0
-        return self._energy_upto(t1) - self._energy_upto(t0)
-
     def watts_at(self, t: float) -> float:
         idx = int(np.searchsorted(self.starts, t, side="right")) - 1
         if idx >= 0 and t < float(self.ends[idx]):
@@ -190,25 +176,7 @@ class PowerProgram:
 
     @property
     def total_energy(self) -> float:
-        return float(self._cum[-1])
-
-
-class _ProgramMeter:
-    """``EnergyMeter``-shaped source over policy power programs."""
-
-    __slots__ = ("programs", "overhead_watts")
-
-    def __init__(
-        self, programs: List[PowerProgram], overhead_watts: float
-    ) -> None:
-        self.programs = programs
-        self.overhead_watts = overhead_watts
-
-    def energy_between(self, t0: float, t1: float) -> float:
-        total = self.overhead_watts * (t1 - t0)
-        for program in self.programs:
-            total += program.energy_between(t0, t1)
-        return total
+        return float(self.cum[-1])
 
 
 @dataclass(frozen=True)
@@ -439,7 +407,7 @@ class AnalyticPolicy:
     # -- evaluation ------------------------------------------------
     def evaluate(self, capture, *, sampling_cycle: float = 1.0) -> PolicyMetrics:
         """Re-score ``capture`` under this policy."""
-        from ..sim.kernel import _Fallback, _power_windows, _tick_boundaries
+        from ..sim.kernel import _Fallback, _tick_boundaries
 
         if self._members is None:
             raise PolicyError(
@@ -454,7 +422,7 @@ class AnalyticPolicy:
         overhead = (
             capture.overhead_watts if capture.overhead_watts is not None else 0.0
         )
-        meter = _ProgramMeter(
+        meter = EnergyMeter(
             [m.program for m in build.members] + build.extras, overhead
         )
         end = capture.end
@@ -467,7 +435,7 @@ class AnalyticPolicy:
         analyzer = PowerAnalyzer(
             meter, sampling_cycle=float(sampling_cycle), sensor=None
         )
-        _power_windows(analyzer, bounds, end)
+        analyzer.record_windows(bounds, end)
         energy = analyzer.total_energy
         mean_watts = analyzer.mean_watts
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Protocol
 
+import numpy as np
+
 from ..errors import PowerAnalyzerError
 from ..sim.engine import Simulator
 from .sensor import HallSensor, SensorSpec, IDEAL_SENSOR
@@ -25,6 +27,8 @@ class EnergySource(Protocol):
     """Anything whose energy can be integrated over a window."""
 
     def energy_between(self, t0: float, t1: float) -> float: ...
+
+    def energy_windows(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,22 @@ class PowerAnalyzer:
             self._schedule_next(now)
 
     def _record_window(self, t0: float, t1: float) -> None:
-        if t1 <= t0:
-            return
-        energy = self.source.energy_between(t0, t1)
+        if t1 > t0:
+            self._append_sample(t0, t1, self.source.energy_between(t0, t1))
+
+    def record_windows(self, bounds: List[float], end: float) -> None:
+        """:meth:`_record_window` over ``[bounds[i], bounds[i + 1]]`` and
+        ``[bounds[-1], end]`` in order, with all energies from one
+        ``energy_windows`` call; the sensor reads in window order."""
+        ends = bounds[1:] + [end]
+        energies = self.source.energy_windows(
+            np.asarray(bounds, dtype=float), np.asarray(ends, dtype=float)
+        ).tolist()
+        for t0, t1, energy in zip(bounds, ends, energies):
+            if t1 > t0:
+                self._append_sample(t0, t1, energy)
+
+    def _append_sample(self, t0: float, t1: float, energy: float) -> None:
         true_watts = energy / (t1 - t0)
         amps, volts = self.sensor.read(true_watts)
         self.samples.append(

@@ -11,13 +11,19 @@ Segments must be appended in non-decreasing start order and must not
 overlap (devices serve serially); this keeps queries O(log n) via
 prefix sums, per the HPC guide's advice to precompute instead of
 re-scanning.
+
+Segment columns are ``array("d")`` buffers: appends and ``bisect``
+queries cost about what lists cost, a bulk append is one memory copy,
+and NumPy reads them without a copy.  :class:`FrozenTimeline` is the
+one vectorized window integrator every energy source shares.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import List, Tuple
+from array import array
+from typing import List
 
 import numpy as np
 
@@ -41,10 +47,10 @@ class PowerTimeline:
                 f"baseline power must be >= 0, got {baseline_watts}"
             )
         # Busy segments, time-ordered and non-overlapping.
-        self._starts: List[float] = []
-        self._ends: List[float] = []
-        self._watts: List[float] = []
-        self._cum_excess: List[float] = [0.0]  # prefix sums of (w - baseline)*dt
+        self._starts = array("d")
+        self._ends = array("d")
+        self._watts = array("d")
+        self._cum_excess = array("d", [0.0])  # prefix sums of (w - baseline)*dt
         # Baseline power changes: (time, watts); first entry covers -inf.
         self._base_times: List[float] = [0.0]
         self._base_watts: List[float] = [baseline_watts]
@@ -70,9 +76,12 @@ class PowerTimeline:
 
     def _baseline_energy(self, t0: float, t1: float) -> float:
         """Integral of the piecewise-constant baseline over [t0, t1]."""
-        energy = 0.0
         times = self._base_times
         watts = self._base_watts
+        if len(times) == 1:
+            # The walk below in one step: ``0.0 + w * (t1 - t0)``.
+            return watts[0] * (t1 - t0) if t0 < t1 else 0.0
+        energy = 0.0
         # Index of the baseline level in force at t0.
         i = bisect.bisect_right(times, t0) - 1
         i = max(i, 0)
@@ -85,13 +94,10 @@ class PowerTimeline:
             i += 1
         return energy
 
-    def _baseline_at(self, time: float) -> float:
-        i = bisect.bisect_right(self._base_times, time) - 1
-        return self._base_watts[max(i, 0)]
-
     def baseline_watts_at(self, time: float) -> float:
         """Baseline (idle) power in force at ``time``."""
-        return self._baseline_at(time)
+        i = bisect.bisect_right(self._base_times, time) - 1
+        return self._base_watts[max(i, 0)]
 
     def add_segment(self, start: float, end: float, watts: float) -> None:
         """Append a busy segment drawing ``watts`` total during [start, end].
@@ -126,9 +132,9 @@ class PowerTimeline:
         single-level baseline; timelines whose baseline has changed
         (spin-down) fall back to the per-segment loop.
         """
-        starts = np.asarray(starts, dtype=np.float64)
-        ends = np.asarray(ends, dtype=np.float64)
-        watts = np.asarray(watts, dtype=np.float64)
+        starts = np.ascontiguousarray(starts, dtype=np.float64)
+        ends = np.ascontiguousarray(ends, dtype=np.float64)
+        watts = np.ascontiguousarray(watts, dtype=np.float64)
         if len(self._base_times) > 1:
             for s, e, w in zip(starts.tolist(), ends.tolist(), watts.tolist()):
                 self.add_segment(s, e, w)
@@ -169,10 +175,10 @@ class PowerTimeline:
         base = self._base_watts[0] * durations
         excess = watts * durations - base
         cum = np.cumsum(np.concatenate(([self._cum_excess[-1]], excess)))
-        self._starts.extend(starts.tolist())
-        self._ends.extend(ends.tolist())
-        self._watts.extend(watts.tolist())
-        self._cum_excess.extend(cum[1:].tolist())
+        self._starts.frombytes(starts.tobytes())
+        self._ends.frombytes(ends.tobytes())
+        self._watts.frombytes(watts.tobytes())
+        self._cum_excess.frombytes(cum[1:].tobytes())
 
     def _excess_upto(self, t: float) -> float:
         """Cumulative excess energy of segments (or parts) before time t."""
@@ -197,18 +203,33 @@ class PowerTimeline:
         base = self._baseline_energy(t0, t1)
         return base + self._excess_upto(t1) - self._excess_upto(t0)
 
+    def energy_windows(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """Joules in each window ``[t0[i], t1[i]]``: elementwise
+        :meth:`energy_between`, bit for bit, in one vectorized pass."""
+        if np.any(t1 < t0):
+            raise PowerAnalyzerError("a window end precedes its start")
+        if len(self._base_times) > 1:
+            return _scalar_windows(self, t0, t1)  # multi-level baseline
+        # Transient zero-copy views: an exporting array cannot grow.
+        return FrozenTimeline(
+            *(np.frombuffer(c, dtype=np.float64) for c in (
+                self._starts, self._ends, self._watts, self._cum_excess
+            )),
+            self._base_watts[0],
+        ).energy_windows(t0, t1)
+
     def power_at(self, time: float) -> float:
         """Instantaneous Watts at ``time``: segment power if a busy
         segment covers the instant, the baseline otherwise."""
         idx = bisect.bisect_right(self._starts, time)
         if idx > 0 and self._ends[idx - 1] > time:
             return self._watts[idx - 1]
-        return self._baseline_at(time)
+        return self.baseline_watts_at(time)
 
     def mean_power(self, t0: float, t1: float) -> float:
         """Average Watts over [t0, t1]."""
         if t1 <= t0:
-            return self._baseline_at(t0)
+            return self.baseline_watts_at(t0)
         if t1 - t0 < 16.0 * math.ulp(max(abs(t0), abs(t1), 1.0)):
             # The excess-energy difference in energy_between carries
             # ~1 ULP of the *cumulative* totals; divided by a window at
@@ -226,6 +247,55 @@ class PowerTimeline:
         ends = np.asarray(self._ends)
         overlap = np.minimum(ends, t1) - np.maximum(starts, t0)
         return float(np.clip(overlap, 0.0, None).sum())
+
+
+def _scalar_windows(source, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """``energy_windows`` as one ``energy_between`` call per window."""
+    pairs = zip(t0.tolist(), t1.tolist())
+    return np.array([source.energy_between(a, b) for a, b in pairs], dtype=float)
+
+
+class FrozenTimeline:
+    """Read-only timeline over NumPy segment columns (``cum``: prefix
+    sums of each segment's excess over ``base_watts``, leading 0.0).
+
+    :meth:`energy_windows` evaluates :meth:`PowerTimeline.energy_between`
+    elementwise in the same operand order — ``searchsorted(side="right")``
+    for ``bisect_right``, ``cum[idx]`` less the tail of a straddling
+    segment, ``base + up(t1) - up(t0)``, 0.0 for an empty window — so
+    each element equals the scalar query bit for bit.
+    """
+
+    __slots__ = ("starts", "ends", "watts", "cum", "base_watts")
+
+    def __init__(self, starts, ends, watts, cum, base_watts: float) -> None:
+        self.starts = starts
+        self.ends = ends
+        self.watts = watts
+        self.cum = cum
+        self.base_watts = base_watts
+
+    def _excess_upto(self, t: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self.starts, t, side="right")
+        total = self.cum[idx]
+        prev = idx - 1
+        tail = idx > 0
+        tail[tail] = self.ends[prev[tail]] > t[tail]
+        if tail.any():
+            i = prev[tail]
+            span = self.ends[i] - t[tail]
+            total[tail] -= self.watts[i] * span - self.base_watts * span
+        return total
+
+    def energy_windows(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """Joules in each window ``[t0[i], t1[i]]``."""
+        upto = self._excess_upto(np.concatenate((t1, t0)))  # one pass
+        energy = self.base_watts * (t1 - t0) + upto[:t1.size] - upto[t1.size:]
+        energy[t1 == t0] = 0.0
+        return energy
+
+    def energy_between(self, t0: float, t1: float) -> float:
+        return float(self.energy_windows(np.array([t0]), np.array([t1]))[0])
 
 
 class EnergyMeter:
@@ -247,6 +317,14 @@ class EnergyMeter:
         total = self.overhead_watts * (t1 - t0)
         for timeline in self.timelines:
             total += timeline.energy_between(t0, t1)
+        return total
+
+    def energy_windows(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """Elementwise :meth:`energy_between`: the same overhead term,
+        then each member's windows added in member order."""
+        total = self.overhead_watts * (t1 - t0)
+        for timeline in self.timelines:
+            total = total + timeline.energy_windows(t0, t1)
         return total
 
     def mean_power(self, t0: float, t1: float) -> float:

@@ -61,7 +61,9 @@ class HallSensor:
 
     def __init__(self, spec: SensorSpec = IDEAL_SENSOR, seed: int | None = None):
         self.spec = spec
-        self._rng = make_rng(seed)
+        # Only a noisy sensor draws; an exact one never builds a generator.
+        noisy = spec.noise_amperes or spec.voltage_ripple
+        self._rng = make_rng(seed) if noisy else None
 
     def read(self, true_watts: float) -> tuple:
         """One sample: returns ``(amperes, volts)`` as the meter sees them.

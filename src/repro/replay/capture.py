@@ -139,9 +139,9 @@ def snapshot_members(device) -> Tuple[MemberProfile, ...]:
         profiles.append(
             MemberProfile(
                 name=member.name,
-                starts=np.asarray(timeline._starts, dtype=np.float64),
-                ends=np.asarray(timeline._ends, dtype=np.float64),
-                watts=np.asarray(timeline._watts, dtype=np.float64),
+                starts=np.array(timeline._starts, dtype=np.float64),
+                ends=np.array(timeline._ends, dtype=np.float64),
+                watts=np.array(timeline._watts, dtype=np.float64),
                 base_watts=float(timeline._base_watts[0]),
             )
         )

@@ -122,8 +122,6 @@ class ReplaySession:
             return "thermal monitoring enabled"
         if self.reporter is not None:
             return "live reporter attached"
-        if self.on_frame is not None:
-            return "per-frame callback attached"
         return None
 
     def _kernel_result(
@@ -294,6 +292,11 @@ class ReplaySession:
                         energy_joules=kernel_outcome.analyzer.total_energy,
                         engine="kernel",
                     )
+                if self.on_frame is not None:
+                    # The kernel synthesizes every frame at once; deliver
+                    # them in order, as the event engine would live.
+                    for frame in kernel_outcome.frames:
+                        self.on_frame(frame)
                 return self._kernel_result(
                     kernel_outcome, manipulated, load_proportion, sim,
                     slog, start,

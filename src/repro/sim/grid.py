@@ -23,10 +23,11 @@ solvers:
   axis is chunked (``DEFAULT_CHUNK_BYTES``) to bound peak memory;
 * per-cell outputs are assembled through the *real* samplers —
   ``_perf_series``, :class:`~repro.power.analyzer.PowerAnalyzer`
-  windows, ``_frame_series`` — fed by a frozen energy source that
-  reproduces :class:`~repro.power.model.PowerTimeline` arithmetic from
-  the batch arrays, so no per-cell device is ever constructed or
-  mutated.
+  windows, ``_frame_series`` — fed by
+  :class:`~repro.power.model.FrozenTimeline` views of the batch
+  arrays, which integrate exactly as a committed
+  :class:`~repro.power.model.PowerTimeline` does, so no per-cell device
+  is ever constructed or mutated.
 
 **Bit-identity is inherited from the kernel's contract**: every cell's
 :class:`~repro.replay.results.ReplayResult` equals what
@@ -53,6 +54,7 @@ from ..config import ReplayConfig
 from ..core.timescale import TimeScaler
 from ..errors import ReplayError
 from ..power.analyzer import PowerAnalyzer
+from ..power.model import EnergyMeter, FrozenTimeline
 from ..storage.array import DiskArray
 from ..storage.base import QueuedDevice, StorageDevice
 from ..storage.raid import expand_flights
@@ -67,7 +69,6 @@ from .kernel import (
     _frame_series,
     _noop,
     _perf_series,
-    _power_windows,
     _qualify_device,
     _row_restarts,
     _service_plan,
@@ -121,78 +122,6 @@ class _NullClock:
 
     def __init__(self, now: float) -> None:
         self.now = now
-
-
-class _FrozenTimeline:
-    """Read-only stand-in for a committed, fresh-baseline ``PowerTimeline``.
-
-    Holds the batch-computed segment columns of one member device for
-    one cell and answers ``energy_between`` with the exact arithmetic
-    :class:`~repro.power.model.PowerTimeline` performs after
-    ``extend_segments``: a single-level baseline integral plus the
-    prefix-sum excess walk (same cumsum seed, same bisect semantics,
-    same tail subtraction) — so every returned float matches the value
-    a per-cell device commit would have produced, without building the
-    device or materialising Python lists.  ``cum`` carries the leading
-    0.0 of the real ``_cum_excess``; a member that served nothing is
-    represented by empty columns (pure baseline, like a fresh
-    timeline).
-    """
-
-    __slots__ = ("starts", "ends", "watts", "cum", "base_watts")
-
-    def __init__(
-        self,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        watts: np.ndarray,
-        cum: np.ndarray,
-        base_watts: float,
-    ) -> None:
-        self.starts = starts
-        self.ends = ends
-        self.watts = watts
-        self.cum = cum
-        self.base_watts = base_watts
-
-    def _excess_upto(self, t: float) -> float:
-        idx = int(np.searchsorted(self.starts, t, side="right"))
-        total = float(self.cum[idx])
-        if idx > 0:
-            end = float(self.ends[idx - 1])
-            if end > t:
-                tail_base = self.base_watts * (end - t)
-                total -= float(self.watts[idx - 1]) * (end - t) - tail_base
-        return total
-
-    def energy_between(self, t0: float, t1: float) -> float:
-        if t1 == t0:
-            return 0.0
-        base = self.base_watts * (t1 - t0)
-        return base + self._excess_upto(t1) - self._excess_upto(t0)
-
-
-class _FrozenMeter:
-    """``EnergyMeter`` arithmetic over frozen timelines.
-
-    The member order and the sequential Python-float accumulation match
-    the real meter — including members that served nothing, whose
-    timelines still contribute their baseline integral in place.
-    """
-
-    __slots__ = ("timelines", "overhead_watts")
-
-    def __init__(
-        self, timelines: List[_FrozenTimeline], overhead_watts: float
-    ) -> None:
-        self.timelines = timelines
-        self.overhead_watts = overhead_watts
-
-    def energy_between(self, t0: float, t1: float) -> float:
-        total = self.overhead_watts * (t1 - t0)
-        for timeline in self.timelines:
-            total += timeline.energy_between(t0, t1)
-        return total
 
 
 @dataclass
@@ -479,13 +408,15 @@ def _evaluate_group(
                 commit=_noop,
             )
             perf_samples = _perf_series(mon_bounds, end, comp)
+            # Members that served nothing keep empty columns: pure
+            # baseline, like a fresh timeline.
             timelines = [
-                _FrozenTimeline(
+                FrozenTimeline(
                     b.starts2d[i], b.fin2d[i], b.cell_watts(i), b.cum2d[i],
                     b.base_watts,
                 )
                 if b.served
-                else _FrozenTimeline(
+                else FrozenTimeline(
                     _EMPTY, _EMPTY, _EMPTY, _CUM_SEED, b.base_watts
                 )
                 for b in batches
@@ -493,9 +424,9 @@ def _evaluate_group(
             if overhead_watts is None:
                 source = timelines[0]
             else:
-                source = _FrozenMeter(timelines, overhead_watts)
+                source = EnergyMeter(timelines, overhead_watts)
             analyzer = PowerAnalyzer(source, sampling_cycle=cycle, sensor=None)
-            _power_windows(analyzer, mon_bounds, end)
+            analyzer.record_windows(mon_bounds, end)
             frames = (
                 _frame_series(frame_bounds, end, comp, source)
                 if frame_bounds is not None

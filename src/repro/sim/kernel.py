@@ -1178,16 +1178,6 @@ def _perf_series(
     return samples
 
 
-def _power_windows(
-    analyzer: PowerAnalyzer, bounds: List[float], end: float
-) -> None:
-    """Replay the analyzer's sampling windows through its real
-    ``_record_window`` (same sensor-read order, same energy queries)."""
-    ends = bounds[1:] + [end]
-    for a, b in zip(bounds, ends):
-        analyzer._record_window(a, b)
-
-
 def _frame_series(
     bounds: List[float],
     end: float,
@@ -1205,6 +1195,9 @@ def _frame_series(
     byte_prefix = np.concatenate(([0], np.cumsum(comp.nbytes)))
     starts = bounds
     ends = bounds[1:] + [end]
+    energies = power_source.energy_windows(
+        np.asarray(starts, dtype=np.float64), np.asarray(ends, dtype=np.float64)
+    ).tolist()
     flightrec = get_flight_recorder()
     frames = []
     for i in range(len(starts)):
@@ -1220,9 +1213,6 @@ def _frame_series(
             )
         else:
             counts = np.zeros(barr.size + 1, dtype=np.int64)
-        energy = (
-            power_source.energy_between(s, e) if power_source is not None else 0.0
-        )
         depth = int(
             np.searchsorted(comp.push, e, side="right")
             - np.searchsorted(comp.pop, e, side="right")
@@ -1234,7 +1224,7 @@ def _frame_series(
             completed=int(cnt),
             total_bytes=int(byte_prefix[b] - byte_prefix[a]),
             response_sum=float(sum(resp_list[a:b])),
-            energy_joules=float(energy),
+            energy_joules=energies[i],
             queue_depth=depth,
             latency_buckets=buckets,
             latency_counts=tuple(int(x) for x in counts),
@@ -1324,7 +1314,7 @@ def try_kernel_replay(
     analyzer = PowerAnalyzer(
         source, sampling_cycle=float(sampling_cycle), sensor=sensor
     )
-    _power_windows(analyzer, mon_bounds, comp.end)
+    analyzer.record_windows(mon_bounds, comp.end)
     frames = (
         _frame_series(frame_bounds, comp.end, comp, source)
         if frame_bounds is not None

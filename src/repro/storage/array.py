@@ -150,6 +150,9 @@ class DiskArray(StorageDevice):
     def energy_between(self, t0: float, t1: float) -> float:
         return self.meter.energy_between(t0, t1)
 
+    def energy_windows(self, t0, t1):
+        return self.meter.energy_windows(t0, t1)
+
     def mean_power(self, t0: float, t1: float) -> float:
         return self.meter.mean_power(t0, t1)
 

@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .queueing import QueueDiscipline
 
 from ..errors import StorageIOError
-from ..power.model import PowerTimeline
+from ..power.model import PowerTimeline, _scalar_windows
 from ..sim.engine import Simulator
 from ..trace.record import IOPackage
 
@@ -142,6 +142,10 @@ class StorageDevice(ABC):
     @abstractmethod
     def energy_between(self, t0: float, t1: float) -> float:
         """Joules drawn by this device during [t0, t1]."""
+
+    def energy_windows(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """Joules drawn during each window ``[t0[i], t1[i]]``."""
+        return _scalar_windows(self, t0, t1)
 
     def check_bounds(self, package: IOPackage) -> None:
         """Reject requests outside the addressable range."""
@@ -282,6 +286,9 @@ class QueuedDevice(StorageDevice):
 
     def energy_between(self, t0: float, t1: float) -> float:
         return self.timeline.energy_between(t0, t1)
+
+    def energy_windows(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        return self.timeline.energy_windows(t0, t1)
 
     def utilisation(self, t0: float, t1: float) -> float:
         """Fraction of [t0, t1] spent serving requests."""

@@ -69,3 +69,41 @@ class TestSpecValidation:
     def test_negative_noise(self):
         with pytest.raises(PowerAnalyzerError):
             SensorSpec(noise_amperes=-0.1)
+
+
+class TestLazyGenerator:
+    """Only a noisy sensor builds a random generator."""
+
+    @pytest.mark.parametrize(
+        "spec", [IDEAL_SENSOR, SensorSpec(gain_error=0.02, offset_amperes=0.1)]
+    )
+    def test_noiseless_sensor_builds_no_generator(self, spec):
+        sensor = HallSensor(spec, seed=5)
+        assert sensor._rng is None
+        for watts in (0.0, 1.5, 220.0, 980.25):
+            amps = watts / spec.supply_voltage
+            amps = amps * (1.0 + spec.gain_error) + spec.offset_amperes
+            assert sensor.read(watts) == (max(amps, 0.0), spec.supply_voltage)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SensorSpec(noise_amperes=0.05),
+            SensorSpec(voltage_ripple=0.01),
+            SensorSpec(noise_amperes=0.05, voltage_ripple=0.01, gain_error=0.01),
+        ],
+    )
+    def test_seeded_noisy_sequence_is_unchanged(self, spec):
+        # The draws a noisy sensor makes: one current-noise value, then
+        # one ripple value, per reading, from the seeded generator.
+        rng = np.random.default_rng(9)
+        sensor = HallSensor(spec, seed=9)
+        for watts in (10.0, 220.0, 0.5, 640.0):
+            amps = watts / spec.supply_voltage * (1.0 + spec.gain_error)
+            amps += spec.offset_amperes
+            if spec.noise_amperes:
+                amps += rng.normal(0.0, spec.noise_amperes)
+            volts = spec.supply_voltage
+            if spec.voltage_ripple:
+                volts *= 1.0 + rng.normal(0.0, spec.voltage_ripple)
+            assert sensor.read(watts) == (max(amps, 0.0), max(volts, 0.0))

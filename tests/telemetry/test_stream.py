@@ -155,6 +155,34 @@ class TestSessionStreaming:
         )
         assert live == result.interval_frames
 
+    def test_on_frame_keeps_the_kernel_and_sees_event_frames(
+        self, small_trace, monkeypatch
+    ):
+        # A per-frame callback no longer forces the event engine: the
+        # kernel hands its synthesized frames over in order, and they
+        # equal the frames the event engine delivers live.
+        from repro.storage.array import build_hdd_raid5
+        from repro.telemetry import get_registry
+
+        # The kernel declines while instrumentation is on.
+        monkeypatch.setattr(get_registry(), "enabled", False)
+
+        def replay(engine):
+            live = []
+            result = replay_trace(
+                pack(small_trace), build_hdd_raid5(6), load_proportion=0.5,
+                stream_interval=INTERVAL, engine=engine,
+                on_frame=lambda f: live.append(f.to_dict()),
+            )
+            return result, live
+
+        kernel, kernel_live = replay("auto")
+        event, event_live = replay("event")
+        assert kernel.metadata["engine"] == "kernel"
+        assert event.metadata["engine"] == "event"
+        assert kernel_live
+        assert kernel_live == event_live == kernel.interval_frames
+
     def test_object_vs_packed_byte_identical(self, small_trace):
         j_obj = frames_to_jsonl(self.run(small_trace).interval_frames)
         j_packed = frames_to_jsonl(self.run(pack(small_trace)).interval_frames)
