@@ -125,14 +125,14 @@ class ReplaySession:
         return None
 
     def _kernel_result(
-        self, outcome, manipulated, load_proportion, sim, slog, start
+        self, outcome, manipulated, load_proportion, slog, start
     ) -> ReplayResult:
         """Assemble a :class:`ReplayResult` from a kernel outcome.
 
         Mirrors the event path's assembly field for field so results
         compare bit-identical downstream (JSON, ledger, goldens).
         """
-        end = sim.now
+        end = outcome.end
         duration = end - start
         completed = outcome.completed
         slog.event(
@@ -298,8 +298,7 @@ class ReplaySession:
                     for frame in kernel_outcome.frames:
                         self.on_frame(frame)
                 return self._kernel_result(
-                    kernel_outcome, manipulated, load_proportion, sim,
-                    slog, start,
+                    kernel_outcome, manipulated, load_proportion, slog, start
                 )
             if engine_mode == "kernel":
                 raise ReplayError(

@@ -5,21 +5,30 @@ one per completion — for a 100k-bunch packed trace that is hundreds of
 thousands of Python callbacks even though the *math* of a fault-free
 FCFS replay is a handful of recurrences.  This module computes an entire
 qualifying replay in bulk over the :class:`~repro.trace.packed.PackedTrace`
-CSR arrays:
+CSR arrays, as one pipeline over ``P`` dispatch rows:
 
-* bunch dispatch times (vectorised rebase, identical to
-  :meth:`ReplayEngine.start`),
-* the array controller's link-serialisation chain
-  (``dispatch = max(arrival, link_busy) + overhead``),
-* RAID-0/5/JBOD chunk expansion in closed form (bit-for-bit the
-  :class:`~repro.storage.raid.RaidGeometry` loop),
-* per-device FCFS queue waits via a segmented Lindley recurrence
-  (``finish_k = max(submit_k, finish_{k-1}) + service_k``),
-* per-request service times and Watts from each device model's
-  vectorised ``service_times`` mirror,
-* and the sampled outputs — :class:`~repro.replay.monitor.PerfSample`
-  series, :class:`~repro.power.analyzer.PowerAnalyzer` windows, latency
-  histograms, and :class:`~repro.telemetry.stream.IntervalFrame` series.
+1. **qualification** (:func:`_qualify`) — one decline order for point
+   replay, the grid and the sweep-eligibility probe;
+2. **shared work** (:func:`_prepare`) — CSR columns, capacity checks,
+   RAID-0/5/JBOD flight expansion (bit-for-bit the
+   :class:`~repro.storage.raid.RaidGeometry` loop) and each member's
+   vectorised ``service_times`` plan;
+3. **the ``(P, n)`` solve** (:func:`_solve`) — the array controller's
+   link chain (``dispatch = max(arrival, link_busy) + overhead``), each
+   member's FCFS queue (``finish_k = max(submit_k, finish_{k-1}) +
+   service_k``) or the RAID-5 two-phase barrier fixpoint, flight
+   completions, and the checks that decline rows the closed form cannot
+   reproduce;
+4. **per-row assembly** (:func:`_outcome`) — the sampled outputs,
+   :class:`~repro.replay.monitor.PerfSample` series,
+   :class:`~repro.power.analyzer.PowerAnalyzer` windows and
+   :class:`~repro.telemetry.stream.IntervalFrame` series, fed by a power
+   source.
+
+Point replay (:func:`try_kernel_replay`) is that pipeline on one row plus
+an explicit :func:`_commit` of the row's member schedules to the live
+devices, which then serve as the power source; the grid
+(:mod:`repro.sim.grid`) runs it on many rows against frozen views.
 
 **Bit-identity is the contract.**  Every floating-point expression here
 is ordered exactly as the event path orders it: seeded ``np.cumsum``
@@ -30,11 +39,10 @@ interval recorder are fed through their *real* implementations after
 the device timelines are committed.  Anything the closed form cannot
 reproduce exactly — unsorted dispatch times, tied flight completions,
 out-of-range requests (the event path raises mid-run), pathological
-sampling cycles — raises :class:`_Fallback` *before any state is
-mutated* and the caller falls back to the event engine.
+sampling cycles — declines the row *before any state is mutated* and
+the caller falls back to the event engine.
 
-The public entry point is :func:`try_kernel_replay`; qualification rules
-are documented in ``docs/performance.md``.
+Qualification rules are documented in ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -61,7 +69,6 @@ from ..storage.queueing import FIFOQueue
 from ..storage.raid import FlightExpansion, RaidLevel, expand_flights
 from ..storage.ssd import SolidStateDrive
 from ..trace.packed import PackedTrace
-from ..trace.record import READ
 from ..units import SECTOR_BYTES
 from .engine import Simulator
 
@@ -91,13 +98,18 @@ class _Fallback(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Exact FCFS queue solver (Lindley recurrence)
+# Exact busy-run recurrence (FCFS queues and the controller link chain)
 # ---------------------------------------------------------------------------
 #
-# Both chain solvers below take an optional ``restart`` mask: independent
-# chains concatenated end to end (one per grid cell), each starting over
-# from ``prev`` at its marked position.  Point replay is the one-chain
-# case; the grid solves its ``(P, n)`` matrices as one flattened call.
+# Both recurrences the kernel solves have one shape: request ``k`` starts
+# at ``max(t_k, busy_{k-1})`` and then adds the k-th entry of each of
+# ``m`` addend columns in turn; the last partial sum is the new
+# busy-until instant.  With one column (service seconds) this is a
+# member's FCFS queue, ``f_k = max(s_k, f_{k-1}) + sv_k``; with two
+# (controller overhead, link payload) it is the array's dispatch chain,
+# ``d_k = max(t_k, l_{k-1}) + c; l_k = d_k + p_k``.  An optional
+# ``restart`` mask concatenates independent chains end to end (one per
+# dispatch row), each starting over from ``prev`` at its marked position.
 
 
 def _row_restarts(n_rows: int, k: int) -> Optional[np.ndarray]:
@@ -135,42 +147,55 @@ def _idle_heads(arrival: np.ndarray, cost, starts: np.ndarray) -> np.ndarray:
     return is_head
 
 
-def _lindley_scalar(
-    submit: np.ndarray,
-    sv: np.ndarray,
+def _recurrence_scalar(
+    t: np.ndarray,
+    cols: np.ndarray,
     prev: float,
     restart: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Reference solver: the event path's arithmetic, request by request."""
-    out = np.empty(submit.size, dtype=np.float64)
+    m, n = cols.shape
+    out = np.empty((n, m), dtype=np.float64)
     cur = prev
-    fresh = sequence_starts(submit.size, restart).tolist() if submit.size else []
-    for i, (t, s) in enumerate(zip(submit.tolist(), sv.tolist())):
+    fresh = sequence_starts(n, restart).tolist() if n else []
+    for i, (ti, adds) in enumerate(zip(t.tolist(), cols.T.tolist())):
         if fresh[i]:
             cur = prev
-        start = t if t > cur else cur
-        cur = start + s
-        out[i] = cur
-    return out
+        cur = ti if ti > cur else cur
+        for j, add in enumerate(adds):
+            cur = cur + add
+            out[i, j] = cur
+    return out.T
 
 
-def _eval_lindley_segments_loop(
-    submit: np.ndarray,
-    sv: np.ndarray,
+def _run_cumsum(seed: float, cols: np.ndarray) -> np.ndarray:
+    """One busy run's partial sums from ``seed``: a single seeded cumsum
+    whose element order ``seed, +cols[0][0], …, +cols[m-1][0],
+    +cols[0][1], …`` is the scalar loop's left-to-right additions."""
+    m, k = cols.shape
+    arr = np.empty(m * k + 1, dtype=np.float64)
+    arr[0] = seed
+    for j in range(m):
+        arr[1 + j::m] = cols[j]
+    return np.cumsum(arr)[1:].reshape(k, m).T
+
+
+def _eval_runs_loop(
+    t: np.ndarray,
+    cols: np.ndarray,
     heads: np.ndarray,
     prev: float,
     fresh: np.ndarray,
 ) -> np.ndarray:
-    """Per-segment reference evaluation (sequential over busy runs).
+    """Per-run evaluation, sequential over busy runs.
 
-    Each segment [a, b) is a busy run: its first request starts at
-    ``max(submit[a], previous finish)`` (exact selection) and the rest
-    chain by seeded cumulative sum — the same left-to-right additions
-    the scalar loop performs.  A ``fresh`` segment starts a new chain,
-    so its previous finish is ``prev``.
+    Each run [a, b) starts at ``max(t[a], previous busy-until)`` (exact
+    selection) and accumulates its addends by :func:`_run_cumsum`.  A
+    ``fresh`` run starts a new chain, so its previous busy-until is
+    ``prev``.
     """
-    n = submit.size
-    f = np.empty(n, dtype=np.float64)
+    m, n = cols.shape
+    out = np.empty((m, n), dtype=np.float64)
     cur = prev
     bounds = np.append(heads, n)
     for a, b, new in zip(
@@ -178,21 +203,19 @@ def _eval_lindley_segments_loop(
     ):
         if new:
             cur = prev
-        sa = submit[a]
-        seed = sa if sa > cur else cur
-        f[a:b] = np.cumsum(np.concatenate(([seed], sv[a:b])))[1:]
-        cur = float(f[b - 1])
-    return f
+        ta = t[a]
+        out[:, a:b] = _run_cumsum(ta if ta > cur else cur, cols[:, a:b])
+        cur = float(out[m - 1, b - 1])
+    return out
 
 
-#: Batched evaluation eligibility: below this many segments the
-#: per-segment loop's overhead is negligible (and it never needs
-#: seed-repair waves).
+#: Batched evaluation eligibility: below this many runs the per-run
+#: loop's overhead is negligible (and it never needs seed-repair waves).
 _BATCH_MIN_SEGMENTS = 64
 
 #: Seed-repair waves before falling back to the sequential loop.  Each
-#: wave finalises at least one more segment of every chain of busy runs
-#: that merge (a head whose submit lands inside the previous run), so
+#: wave finalises at least one more run of every chain of busy runs
+#: that merge (a head whose arrival lands inside the previous run), so
 #: only adversarially long merge chains hit the cap.
 _MAX_SEED_WAVES = 40
 
@@ -219,59 +242,113 @@ def _run_blocks(heads: np.ndarray, lens: np.ndarray, n: int):
         yield sel, idx, cols < ls[:, None]
 
 
-def _eval_lindley_segments(
-    submit: np.ndarray,
-    sv: np.ndarray,
+def _eval_runs(
+    t: np.ndarray,
+    cols: np.ndarray,
     heads: np.ndarray,
     prev: float,
     fresh: np.ndarray,
 ) -> np.ndarray:
-    """Evaluate finish times given idle-start positions ``heads``.
+    """Evaluate the recurrence given idle-start positions ``heads``.
 
     Lightly loaded schedules split into tens of thousands of short busy
     runs, and a grid stack into at least one run per row; evaluating
     them one Python-loop iteration apiece dominates the solver.
-    Instead, seed every segment at its own ``submit[a]`` (the true seed
-    whenever the head is a genuine idle restart; ``max(submit[a],
-    prev)`` for a ``fresh`` chain start) and evaluate all of them at
-    once, one row-wise cumsum per length class (:func:`_run_blocks`) —
-    the per-segment cumsum's exact additions, so the values are
+    Instead, seed every run at its own ``t[a]`` (the true seed whenever
+    the head is a genuine idle restart; ``max(t[a], prev)`` for a
+    ``fresh`` chain start) and evaluate all of them at once, one
+    row-wise interleaved cumsum per length class (:func:`_run_blocks`) —
+    the per-run cumsum's exact additions, so the values are
     bit-identical.  Heads whose run actually merges with the previous
-    one (``submit[a]`` below the previous run's finish) are then
-    re-seeded at ``max(submit[a], previous finish)`` and re-evaluated —
-    values only grow, and each wave finalises the next segment of every
+    one (``t[a]`` below the previous run's busy-until) are then
+    re-seeded at ``max(t[a], previous busy-until)`` and re-evaluated —
+    values only grow, and each wave finalises the next run of every
     merge chain, so the iteration reaches the sequential evaluation's
     unique answer; if a pathological chain outlives the wave cap, fall
     back to the sequential loop.
     """
-    n = submit.size
+    m, n = cols.shape
     if heads.size < _BATCH_MIN_SEGMENTS:
-        return _eval_lindley_segments_loop(submit, sv, heads, prev, fresh)
+        return _eval_runs_loop(t, cols, heads, prev, fresh)
     lens = np.diff(np.append(heads, n))
-    f = np.empty(n, dtype=np.float64)
-    seed = submit[heads].copy()
+    out = np.empty((m, n), dtype=np.float64)
+    seed = t[heads].copy()
     seed[fresh] = np.maximum(seed[fresh], prev)
 
     def _runs(sel: np.ndarray) -> None:
-        """(Re)evaluate the selected segments from their current seeds."""
+        """(Re)evaluate the selected runs from their current seeds."""
         for rows, idx, keep in _run_blocks(heads[sel], lens[sel], n):
-            block = np.empty((rows.size, idx.shape[1] + 1), dtype=np.float64)
+            block = np.empty((rows.size, m * idx.shape[1] + 1), dtype=np.float64)
             block[:, 0] = seed[sel[rows]]
-            block[:, 1:] = sv[idx]
-            f[idx[keep]] = np.cumsum(block, axis=1)[:, 1:][keep]
+            for j in range(m):
+                block[:, 1 + j::m] = cols[j][idx]
+            cs = np.cumsum(block, axis=1)
+            at = idx[keep]
+            for j in range(m):
+                out[j][at] = cs[:, 1 + j::m][keep]
 
     _runs(np.arange(heads.size))
     linked = np.flatnonzero(~fresh)
     tails = heads[linked] - 1
     for _ in range(_MAX_SEED_WAVES):
-        want = np.maximum(submit[heads[linked]], f[tails])
+        want = np.maximum(t[heads[linked]], out[m - 1][tails])
         moved = want != seed[linked]
         if not moved.any():
-            return f
+            return out
         stale = linked[moved]
         seed[stale] = want[moved]
         _runs(stale)
-    return _eval_lindley_segments_loop(submit, sv, heads, prev, fresh)
+    return _eval_runs_loop(t, cols, heads, prev, fresh)
+
+
+def _solve_chain(
+    t: np.ndarray,
+    cols: np.ndarray,
+    prev: float = _NEG_INF,
+    restart: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Every partial sum of the busy-run recurrence over ``cols``.
+
+    ``cols`` is an ``(m, n)`` stack of addend columns; the result is the
+    ``(m, n)`` stack of partial sums, its last row the busy-until
+    instants.  Bit-identical to the scalar recurrence, chain by chain
+    when ``restart`` marks several.  O(1)-pass fast paths cover the
+    common regimes (the server never queues / a single chain's server
+    never idles); otherwise idle-start heads are guessed from the
+    arrival slack and refined until the evaluation is self-consistent,
+    which by induction makes it exact.
+    """
+    m, n = cols.shape
+    if n == 0:
+        return np.empty((m, 0), dtype=np.float64)
+    is_start = sequence_starts(n, restart)
+    # Fully idle: every request starts at its own arrival.
+    idle = np.empty((m, n), dtype=np.float64)
+    np.add(t, cols[0], out=idle[0])
+    for j in range(1, m):
+        np.add(idle[j - 1], cols[j], out=idle[j])
+    if bool(np.all(t >= lag(idle[m - 1], prev, is_start))):
+        return idle
+    starts = np.flatnonzero(is_start)
+    # Fully busy: one seeded cumsum.  Worth a try on a single chain (a
+    # point replay's queue is often saturated); a stack of chains is
+    # rarely busy in every row, and the general path's first pass
+    # already takes a busy chain's start as its only head.
+    if starts.size == 1:
+        busy = _run_cumsum(t[0] if t[0] > prev else prev, cols)
+        if bool(np.all(t[1:] <= busy[m - 1, :-1])):
+            return busy
+    # General: guess heads from arrival slack, refine to fixpoint.
+    is_head = _idle_heads(t, cols[0] if m == 1 else cols.sum(axis=0), starts)
+    for _ in range(_MAX_PASSES):
+        heads = np.flatnonzero(is_head)
+        out = _eval_runs(t, cols, heads, prev, is_start[heads])
+        viol = np.flatnonzero(t > lag(out[m - 1], np.inf, is_start))
+        new = viol[~is_head[viol]]
+        if new.size == 0:
+            return out
+        is_head[new] = True
+    return _recurrence_scalar(t, cols, prev, is_start)
 
 
 def _solve_lindley(
@@ -280,45 +357,8 @@ def _solve_lindley(
     prev: float = _NEG_INF,
     restart: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Finish times of ``finish_k = max(submit_k, finish_{k-1}) + sv_k``.
-
-    Bit-identical to the scalar recurrence, chain by chain when
-    ``restart`` marks several.  O(1)-pass fast paths cover the common
-    regimes (server never queues / a single chain's server never
-    idles); otherwise idle-start heads are guessed from the arrival
-    slack and refined until the evaluation is self-consistent, which by
-    induction makes it exact.
-    """
-    n = submit.size
-    if n == 0:
-        return submit.astype(np.float64)
-    is_start = sequence_starts(n, restart)
-    # Fully-idle: every request starts at its own submit time.
-    f_idle = submit + sv
-    if bool(np.all(submit >= lag(f_idle, prev, is_start))):
-        return f_idle
-    starts = np.flatnonzero(is_start)
-    # Fully-busy: one seeded cumsum.  Worth a try on a single chain (a
-    # point replay's queue is often saturated); a stack of chains is
-    # rarely busy in every row, and the general path's first pass
-    # already takes a busy chain's start as its only head.
-    if starts.size == 1:
-        s0 = submit[0]
-        seed0 = s0 if s0 > prev else prev
-        f_busy = np.cumsum(np.concatenate(([seed0], sv)))[1:]
-        if bool(np.all(submit[1:] <= f_busy[:-1])):
-            return f_busy
-    # General: guess heads from arrival slack, refine to fixpoint.
-    is_head = _idle_heads(submit, sv, starts)
-    for _ in range(_MAX_PASSES):
-        heads = np.flatnonzero(is_head)
-        f = _eval_lindley_segments(submit, sv, heads, prev, is_start[heads])
-        viol = np.flatnonzero(submit > lag(f, np.inf, is_start))
-        new = viol[~is_head[viol]]
-        if new.size == 0:
-            return f
-        is_head[new] = True
-    return _lindley_scalar(submit, sv, prev, is_start)
+    """FCFS finish times ``finish_k = max(submit_k, finish_{k-1}) + sv_k``."""
+    return _solve_chain(submit, sv[None, :], prev, restart)[0]
 
 
 def _solve_rows(submit2d: np.ndarray, sv: np.ndarray) -> np.ndarray:
@@ -329,128 +369,10 @@ def _solve_rows(submit2d: np.ndarray, sv: np.ndarray) -> np.ndarray:
     matching ``(P, k)`` matrix.
     """
     n_rows, k = submit2d.shape
-    sv_flat = np.tile(sv, n_rows) if sv.ndim == 1 else sv.ravel()
+    sv_flat = np.tile(sv, n_rows) if sv.ndim == 1 and n_rows > 1 else sv.ravel()
     return _solve_lindley(
         submit2d.ravel(), sv_flat, restart=_row_restarts(n_rows, k)
     ).reshape(n_rows, k)
-
-
-# ---------------------------------------------------------------------------
-# Exact link-serialisation solver (controller dispatch chain)
-# ---------------------------------------------------------------------------
-
-
-def _chain_scalar(
-    t: np.ndarray,
-    c: float,
-    p: np.ndarray,
-    prev: float,
-    restart: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    d = np.empty(t.size, dtype=np.float64)
-    link = np.empty(t.size, dtype=np.float64)
-    cur = prev
-    fresh = sequence_starts(t.size, restart).tolist() if t.size else []
-    for i, (ti, pi) in enumerate(zip(t.tolist(), p.tolist())):
-        if fresh[i]:
-            cur = prev
-        disp = ti if ti > cur else cur
-        disp = disp + c
-        d[i] = disp
-        cur = disp + pi
-        link[i] = cur
-    return d, link
-
-
-def _eval_chain_segments_loop(
-    t: np.ndarray,
-    c: float,
-    p: np.ndarray,
-    heads: np.ndarray,
-    prev: float,
-    fresh: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-segment reference evaluation of the dispatch chain.
-
-    A busy run interleaves the per-request overhead and payload additions
-    into one cumulative sum — element order ``seed, +c, +p_0, +c, +p_1…``
-    matches the event path's ``dispatch += overhead; link = dispatch +
-    payload`` exactly.
-    """
-    n = t.size
-    d = np.empty(n, dtype=np.float64)
-    link = np.empty(n, dtype=np.float64)
-    cur = prev
-    bounds = np.append(heads, n)
-    for a, b, new in zip(
-        bounds[:-1].tolist(), bounds[1:].tolist(), fresh.tolist()
-    ):
-        if new:
-            cur = prev
-        ta = t[a]
-        seed = ta if ta > cur else cur
-        m = b - a
-        arr = np.empty(2 * m + 1, dtype=np.float64)
-        arr[0] = seed
-        arr[1::2] = c
-        arr[2::2] = p[a:b]
-        cs = np.cumsum(arr)
-        d[a:b] = cs[1::2]
-        link[a:b] = cs[2::2]
-        cur = float(link[b - 1])
-    return d, link
-
-
-def _eval_chain_segments(
-    t: np.ndarray,
-    c: float,
-    p: np.ndarray,
-    heads: np.ndarray,
-    prev: float,
-    fresh: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Evaluate the dispatch chain given idle-link positions ``heads``.
-
-    Same batched scheme as :func:`_eval_lindley_segments` (which see):
-    segments are seeded independently at their own submit times and
-    evaluated together, one interleaved ``seed, +c, +p_0, +c, +p_1…``
-    row-wise cumsum per length class — the per-segment cumsum's exact
-    additions — then heads that actually merge with the previous busy
-    run are re-seeded and re-evaluated until the evaluation is
-    self-consistent.
-    """
-    n = t.size
-    if heads.size < _BATCH_MIN_SEGMENTS:
-        return _eval_chain_segments_loop(t, c, p, heads, prev, fresh)
-    lens = np.diff(np.append(heads, n))
-    d = np.empty(n, dtype=np.float64)
-    link = np.empty(n, dtype=np.float64)
-    seed = t[heads].copy()
-    seed[fresh] = np.maximum(seed[fresh], prev)
-
-    def _runs(sel: np.ndarray) -> None:
-        for rows, idx, keep in _run_blocks(heads[sel], lens[sel], n):
-            block = np.empty((rows.size, 2 * idx.shape[1] + 1), dtype=np.float64)
-            block[:, 0] = seed[sel[rows]]
-            block[:, 1::2] = c
-            block[:, 2::2] = p[idx]
-            cs = np.cumsum(block, axis=1)
-            at = idx[keep]
-            d[at] = cs[:, 1::2][keep]
-            link[at] = cs[:, 2::2][keep]
-
-    _runs(np.arange(heads.size))
-    linked = np.flatnonzero(~fresh)
-    tails = heads[linked] - 1
-    for _ in range(_MAX_SEED_WAVES):
-        want = np.maximum(t[heads[linked]], link[tails])
-        moved = want != seed[linked]
-        if not moved.any():
-            return d, link
-        stale = linked[moved]
-        seed[stale] = want[moved]
-        _runs(stale)
-    return _eval_chain_segments_loop(t, c, p, heads, prev, fresh)
 
 
 def _solve_link_chain(
@@ -466,32 +388,11 @@ def _solve_link_chain(
     arithmetic of :meth:`DiskArray.submit`, reproduced bit-for-bit, chain
     by chain when ``restart`` marks several.
     """
-    n = t.size
-    if n == 0:
-        empty = t.astype(np.float64)
-        return empty, empty
-    is_start = sequence_starts(n, restart)
-    d_idle = t + c
-    l_idle = d_idle + p
-    if bool(np.all(t >= lag(l_idle, prev, is_start))):
-        return d_idle, l_idle
-    starts = np.flatnonzero(is_start)
-    if starts.size == 1:
-        d_busy, l_busy = _eval_chain_segments_loop(
-            t, c, p, starts, prev, np.ones(1, dtype=bool)
-        )
-        if bool(np.all(t[1:] <= l_busy[:-1])):
-            return d_busy, l_busy
-    is_head = _idle_heads(t, c + p, starts)
-    for _ in range(_MAX_PASSES):
-        heads = np.flatnonzero(is_head)
-        d, link = _eval_chain_segments(t, c, p, heads, prev, is_start[heads])
-        viol = np.flatnonzero(t > lag(link, np.inf, is_start))
-        new = viol[~is_head[viol]]
-        if new.size == 0:
-            return d, link
-        is_head[new] = True
-    return _chain_scalar(t, c, p, prev, is_start)
+    cols = np.empty((2, t.size), dtype=np.float64)
+    cols[0] = c
+    cols[1] = p
+    d, link = _solve_chain(t, cols, prev, restart)
+    return d, link
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +427,10 @@ def _structure_reason(device: StorageDevice) -> Optional[str]:
 
     Array-level structure only — subclass, empty enclosure, degraded
     state, RAID level — plus device models without a kernel contract.
-    These hold whatever the process-wide telemetry setting, so callers
-    check them before the telemetry registry: a degraded array reports
-    "array degraded or rebuilding" with telemetry on or off.
+    These hold whatever the process-wide telemetry setting, so
+    :func:`_qualify` checks them before the telemetry registry: a
+    degraded array reports "array degraded or rebuilding" with telemetry
+    on or off.
     """
     if isinstance(device, DiskArray):
         if type(device) is not DiskArray:
@@ -547,8 +449,8 @@ def _structure_reason(device: StorageDevice) -> Optional[str]:
     return None
 
 
-def _qualify_device(device: StorageDevice, trace: PackedTrace) -> Optional[str]:
-    """None if the target qualifies for the analytical kernel.
+def _qualify_device(device: StorageDevice) -> Optional[str]:
+    """None if the target device qualifies for the analytical kernel.
 
     Checks run in a documented, deterministic order so the recorded
     fallback reason is stable when several apply: array-level structure
@@ -576,39 +478,43 @@ def _qualify_device(device: StorageDevice, trace: PackedTrace) -> Optional[str]:
     return None
 
 
-# ---------------------------------------------------------------------------
-# Schedule computation (pure — all mutations deferred to commit closures)
-# ---------------------------------------------------------------------------
+def _qualify(trace, device: StorageDevice) -> Optional[str]:
+    """Why replaying ``trace`` on ``device`` cannot take the closed form.
 
-
-@dataclass
-class _Computed:
-    """A fully-solved replay schedule, ready to commit.
-
-    ``fin``/``resp``/``nbytes`` are in *completion-event order* (the
-    order the monitor saw completions on the event path); ``push`` /
-    ``pop`` are the merged, sorted queue-entry and queue-exit instants
-    across all members (for interval-frame queue depths).  ``commit``
-    performs every device/timeline mutation the event path would have
-    made — it must be infallible.
+    The one decline order every closed-form entry point shares — point
+    replay, the grid and the sweep-eligibility probe: device structure,
+    then the process-wide telemetry registry, then the trace layout,
+    then the device's instrumentation and members
+    (:func:`_qualify_device`).
     """
+    from ..telemetry import get_registry
 
-    end: float
-    fin: np.ndarray
-    resp: np.ndarray
-    nbytes: np.ndarray
-    push: np.ndarray
-    pop: np.ndarray
-    commit: Callable[[], None]
+    reason = _structure_reason(device)
+    if reason is not None:
+        return reason
+    if get_registry().enabled:
+        return "telemetry registry enabled"
+    if not isinstance(trace, PackedTrace):
+        return "object-trace replay"
+    return _qualify_device(device)
 
 
-def _dispatch_times(trace: PackedTrace, t0: float) -> np.ndarray:
-    """Per-package submit instants — the packed engine's rebased bunch
-    times, repeated across each bunch's rows."""
-    times = t0 + (trace.timestamps - trace.timestamps[0])
-    if times.size > 1 and bool(np.any(np.diff(times) < 0)):
-        raise _Fallback("unsorted bunch timestamps reorder dispatch")
-    return np.repeat(times, np.diff(trace.offsets))
+# ---------------------------------------------------------------------------
+# Shared work: columns, capacity, flight expansion, service plans
+# ---------------------------------------------------------------------------
+
+
+def _noop() -> None:
+    return None
+
+
+def _row(a: np.ndarray, i: int) -> np.ndarray:
+    """Row ``i`` of a per-row ``(P, k)`` column, or a shared ``(k,)`` one."""
+    return a[i] if a.ndim == 2 else a
+
+
+def _end_sectors(sectors: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
+    return sectors + -(-nbytes // SECTOR_BYTES)
 
 
 def _columns(trace: PackedTrace) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -623,101 +529,17 @@ def _columns(trace: PackedTrace) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sectors, nbytes, ops
 
 
-def _check_timeline_clear(dev: QueuedDevice, first_start: float) -> None:
-    """The event path appends segments after the timeline's last end;
-    a stale timeline would make it raise mid-run — fall back instead."""
-    ends = dev.timeline._ends
-    if ends and first_start < ends[-1] - 1e-12:
-        raise _Fallback(f"{dev.name}: power timeline extends past replay start")
-
-
 def _service_plan(
     dev: QueuedDevice,
     sectors: np.ndarray,
     nbytes: np.ndarray,
     ops: np.ndarray,
-    restart: Optional[np.ndarray] = None,
 ) -> VectorService:
     """``dev.service_times`` with model refusals turned into fallbacks."""
     try:
-        return dev.service_times(sectors, nbytes, ops, restart)  # type: ignore[attr-defined]
+        return dev.service_times(sectors, nbytes, ops)  # type: ignore[attr-defined]
     except StorageIOError as exc:
         raise _Fallback(str(exc))
-
-
-def _serve_fifo(
-    dev: QueuedDevice,
-    submit: np.ndarray,
-    sectors: np.ndarray,
-    nbytes: np.ndarray,
-    ops: np.ndarray,
-    solved: Optional[Tuple[np.ndarray, np.ndarray, Callable[[], None]]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Callable[[], None]]:
-    """Solve one member device's FCFS service sequence.
-
-    ``solved`` hands in ``(fin, watts, apply_state)`` for a schedule the
-    RMW fixpoint already solved; otherwise the service plan and the
-    Lindley finishes are computed here.  Returns ``(fin, starts,
-    push_times, pop_times, commit)``; commit applies the device-model
-    cursor state, queue counters, completion count, head hint, and the
-    power-timeline segments.
-    """
-    if solved is None:
-        svc = _service_plan(dev, sectors, nbytes, ops)
-        solved = (_solve_lindley(submit, svc.seconds), svc.watts, svc.apply_state)
-    fin, watts, apply_model = solved
-    if bool(np.any(np.diff(fin) < 0)):
-        raise _Fallback(f"{dev.name}: non-monotone completion schedule")
-    starts = np.maximum(submit, lag(fin, _NEG_INF))
-    _check_timeline_clear(dev, float(starts[0]))
-    queued = starts > submit
-    push = submit[queued]
-    pop = starts[queued]
-    high = 0
-    if push.size:
-        ranks = np.arange(1, push.size + 1, dtype=np.int64)
-        high = int((ranks - np.searchsorted(pop, push, side="right")).max())
-    n = int(submit.size)
-    n_queued = int(push.size)
-    end_sectors = sectors + -(-nbytes // SECTOR_BYTES)
-    if int(end_sectors.max()) > dev.capacity_sectors:
-        raise _Fallback(f"{dev.name}: request beyond capacity")
-    last_end = int(end_sectors[-1])
-
-    def commit() -> None:
-        dev.timeline.extend_segments(starts, fin, watts)
-        apply_model()
-        dev.completed_count += n
-        dev._head_hint = last_end
-        dev._queue.pushed_total += n_queued
-        dev._queue.popped_total += n_queued
-        if high > dev.queued_high_water:
-            dev.queued_high_water = high
-
-    return fin, starts, push, pop, commit
-
-
-def _compute_single(
-    trace: PackedTrace, device: QueuedDevice, t0: float
-) -> _Computed:
-    submit = _dispatch_times(trace, t0)
-    sectors, nbytes, ops = _columns(trace)
-    fin, _starts, push, pop, commit = _serve_fifo(
-        device, submit, sectors, nbytes, ops
-    )
-    # Single-server FIFO completes in row order (finish events are
-    # scheduled in serving order, ties resolve by sequence), so the
-    # monitor saw completions exactly in row order.
-    resp = fin - submit
-    return _Computed(
-        end=float(fin[-1]),
-        fin=fin,
-        resp=resp,
-        nbytes=nbytes,
-        push=push,
-        pop=pop,
-        commit=commit,
-    )
 
 
 def _disk_rows(sub_disk: np.ndarray, n_disks: int) -> List[np.ndarray]:
@@ -730,19 +552,85 @@ def _disk_rows(sub_disk: np.ndarray, n_disks: int) -> List[np.ndarray]:
     return [order[cuts[di]:cuts[di + 1]] for di in range(n_disks)]
 
 
-def _noop() -> None:
-    return None
+@dataclass
+class _Plan:
+    """The work every dispatch row of one (trace, device) pair shares.
+
+    ``sector``/``size`` are the sub-I/O columns the members serve (for a
+    single queued device, the packages themselves); ``rows`` holds each
+    member's sub-I/O indices in plan order, and ``services`` its
+    single-phase service plan (``None`` for a member that serves
+    nothing, and on the RMW path, where the serving order — hence the
+    plan — varies per row).  ``exp`` is ``None`` for a single device.
+    """
+
+    device: StorageDevice
+    members: List[QueuedDevice]
+    reps: np.ndarray  # packages per bunch
+    nbytes: np.ndarray  # package bytes, trace row order
+    sector: np.ndarray
+    size: np.ndarray
+    rows: List[np.ndarray]
+    services: List[Optional[VectorService]]
+    exp: Optional[FlightExpansion]
+
+
+def _prepare(trace: PackedTrace, device: StorageDevice) -> _Plan:
+    """Everything about a replay that does not depend on *when* requests
+    arrive; raises :class:`_Fallback` for a trace the closed form cannot
+    take."""
+    times = trace.timestamps - trace.timestamps[0]
+    if times.size > 1 and bool(np.any(np.diff(times) < 0)):
+        raise _Fallback("unsorted bunch timestamps reorder dispatch")
+    sectors, nbytes, ops = _columns(trace)
+    exp: Optional[FlightExpansion] = None
+    if isinstance(device, DiskArray):
+        geom = device.geometry
+        assert geom is not None
+        if int(_end_sectors(sectors, nbytes).max()) > geom.capacity_sectors:
+            raise _Fallback("request beyond array capacity")
+        exp = expand_flights(geom, sectors, nbytes, ops)
+        members: List[QueuedDevice] = list(device.disks)  # type: ignore[arg-type]
+        sector, size, op = exp.sector, exp.nbytes, exp.op
+        rows = _disk_rows(exp.disk, len(members))
+    else:
+        members = [device]  # type: ignore[list-item]
+        sector, size, op = sectors, nbytes, ops
+        rows = [np.arange(sectors.size)]
+    services: List[Optional[VectorService]] = []
+    for member, r in zip(members, rows):
+        if not r.size:
+            services.append(None)
+            continue
+        if int(_end_sectors(sector[r], size[r]).max()) > member.capacity_sectors:
+            raise _Fallback(f"{member.name}: request beyond capacity")
+        services.append(
+            None if exp is not None and exp.has_pre
+            else _service_plan(member, sector[r], size[r], op[r])
+        )
+    return _Plan(
+        device, members, np.diff(trace.offsets), nbytes, sector, size, rows,
+        services, exp,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The (P, n) solve
+# ---------------------------------------------------------------------------
 
 
 @dataclass
-class _Served:
-    """One member's converged FCFS schedule, one row per dispatch row.
+class _Schedule:
+    """One member's FCFS schedule, one row per dispatch row.
 
     Columns run in the member's serving (arrival) order: ``order`` holds
-    the sub-I/O indices, ``submit``/``fin`` their queue-entry and finish
-    instants, ``watts`` the service plan's mean Watts.  ``apply_state``
+    the sub-I/O indices and ``watts`` the service plan's mean Watts —
+    one ``(k,)`` row shared by every dispatch row on the single-phase
+    path, ``(P, k)`` on the RMW path, where each row may serve in its
+    own order — and ``submit``/``starts``/``fin`` the ``(P, k)``
+    queue-entry, service-start and finish instants.  ``apply_state``
     commits the device cursor state of the most recently planned row —
-    for a single row, the state its converged serving order leaves.
+    for a single row, the state its serving order leaves.
     """
 
     order: np.ndarray
@@ -750,6 +638,14 @@ class _Served:
     fin: np.ndarray
     watts: np.ndarray
     apply_state: Callable[[], None] = _noop
+    starts: np.ndarray = None  # type: ignore[assignment]  # set by _solve
+
+
+def _decline(reasons: List[Optional[str]], bad: np.ndarray, reason: str) -> None:
+    """Give ``reason`` to every row ``bad`` marks that has none yet."""
+    for i in np.flatnonzero(bad).tolist():
+        if reasons[i] is None:
+            reasons[i] = reason
 
 
 class RMWFrontierError(RuntimeError):
@@ -782,7 +678,7 @@ def _advance_frontier(
 def _serve_from_frontier(
     disk: QueuedDevice,
     rows: np.ndarray,
-    s: _Served,
+    s: _Schedule,
     seconds: np.ndarray,
     exp: FlightExpansion,
     arr: np.ndarray,
@@ -859,10 +755,8 @@ def _serve_from_frontier(
 
 
 def _solve_two_phase(
-    device: DiskArray,
-    exp: FlightExpansion,
-    dispatch: np.ndarray,
-) -> Tuple[np.ndarray, List[Optional[_Served]], List[Optional[str]]]:
+    plan: _Plan, dispatch: np.ndarray
+) -> Tuple[np.ndarray, List[Optional[_Schedule]], List[Optional[str]]]:
     """Solve the per-flight two-phase (RMW) barrier to its exact fixpoint.
 
     The event path issues a flight's ``pre`` reads at its dispatch
@@ -905,14 +799,17 @@ def _solve_two_phase(
     move keeps its finishes, a row whose serving *order* did not change
     reuses its service plan, and a converged row retires from the pass.
 
-    Returns ``(sub_fin, served, reasons)``: ``(P, total)`` sub-I/O
-    finish times in plan order, one :class:`_Served` per member
+    Returns ``(sub_fin, schedules, reasons)``: ``(P, total)`` sub-I/O
+    finish times in plan order, one :class:`_Schedule` per member
     (``None`` for a member that serves nothing), and per row the reason
     the closed form cannot reproduce it (``None`` when it can): a
     service-model refusal, or arrival ties the event calendar would
     break by schedule sequence numbers (two RMW barriers releasing at
     one instant).
     """
+    exp = plan.exp
+    assert exp is not None
+    disk_rows = plan.rows
     n_rows = dispatch.shape[0]
     sub_flight = exp.sub_flight
     has_pre = exp.pre_counts > 0
@@ -924,15 +821,14 @@ def _solve_two_phase(
     post_mask = ~exp.is_pre & has_pre[sub_flight]
     post_idx = np.flatnonzero(post_mask)
     post_at = sub_flight[post_idx]
-    disk_rows = _disk_rows(exp.disk, len(device.disks))
     # Flights whose post arrival lands in each member's queue.
     feeds = [sub_flight[rows[post_mask[rows]]] for rows in disk_rows]
 
     sub_fin = np.empty((n_rows, exp.total), dtype=np.float64)
     # Each member's serving order (-1 until first served, so the first
     # pass plans every row) and plan Watts, and its plan seconds.
-    served: List[Optional[_Served]] = [
-        _Served(
+    served: List[Optional[_Schedule]] = [
+        _Schedule(
             np.full((n_rows, rows.size), -1, dtype=np.int64),
             _EMPTY,
             _EMPTY,
@@ -965,12 +861,12 @@ def _solve_two_phase(
                 )
                 if not redo.size:
                     continue
-                plan = _serve_from_frontier(
-                    device.disks[di], rows, s, seconds[di], exp, arr, sub_fin,
+                svc = _serve_from_frontier(
+                    plan.members[di], rows, s, seconds[di], exp, arr, sub_fin,
                     redo, front,
                 )
-                if plan is not None:
-                    s.apply_state = plan.apply_state
+                if svc is not None:
+                    s.apply_state = svc.apply_state
             new_post = dispatch[act]
             new_post[:, pre_flights] = np.maximum.reduceat(
                 sub_fin[act].take(pre_idx, axis=1), pre_seg, axis=1
@@ -1006,117 +902,199 @@ def _solve_two_phase(
         tied = s.submit[:, 1:] == s.submit[:, :-1]
         cross = fl[:, 1:] != fl[:, :-1]
         benign = pm[:, :-1] & ~pm[:, 1:]
-        bad = np.any(tied & cross & ~benign, axis=1)
-        for i in np.flatnonzero(bad).tolist():
-            if reasons[i] is None:
-                reasons[i] = "tied sub-I/O arrival times"
+        _decline(
+            reasons, np.any(tied & cross & ~benign, axis=1),
+            "tied sub-I/O arrival times",
+        )
     return sub_fin, served, reasons
 
 
-def _compute_array(trace: PackedTrace, device: DiskArray, t0: float) -> _Computed:
-    geom = device.geometry
-    assert geom is not None
-    submit = _dispatch_times(trace, t0)
-    sectors, nbytes, ops = _columns(trace)
-    end_sectors = sectors + -(-nbytes // SECTOR_BYTES)
-    if int(end_sectors.max()) > geom.capacity_sectors:
-        raise _Fallback("request beyond array capacity")
+@dataclass
+class _Rows:
+    """``P`` solved dispatch rows.
 
-    # Controller dispatch: overhead plus host-link payload serialisation.
-    overhead = device.enclosure.controller_overhead
-    payload = nbytes / device.enclosure.link_rate
-    dispatch, link = _solve_link_chain(
-        submit, overhead, payload, device._link_busy_until
-    )
+    ``fin``/``resp``/``nbytes`` are in *completion-event order* (the
+    order the monitor saw completions on the event path; ``nbytes`` is
+    one shared row for a single device, which completes in trace order);
+    ``schedules`` holds one :class:`_Schedule` per member (``None`` for
+    one that serves nothing); ``link_end`` the array link's final
+    busy-until per row; ``reasons`` why each row cannot be reproduced
+    exactly (``None`` when it can).
+    """
 
-    exp = expand_flights(geom, sectors, nbytes, ops)
-    flight_offsets = exp.flight_offsets
-    sub_sector, sub_nbytes, sub_op = exp.sector, exp.nbytes, exp.op
-    total = exp.total
-    commits: List[Callable[[], None]] = []
-    pushes: List[np.ndarray] = []
-    pops: List[np.ndarray] = []
-    if exp.has_pre:
-        # RAID-5 read-modify-write: post writes barrier on their pre
-        # reads.  Solve the barrier fixpoint, then commit each member's
-        # converged schedule as solved.
-        sub_fin2d, served, reasons = _solve_two_phase(
-            device, exp, dispatch[None, :]
+    fin: np.ndarray
+    resp: np.ndarray
+    nbytes: np.ndarray
+    schedules: List[Optional[_Schedule]]
+    link_end: Optional[np.ndarray]
+    reasons: List[Optional[str]]
+
+
+def _flight_completions(
+    sub_fin2d: np.ndarray,
+    flight_offsets: np.ndarray,
+    submit2d: np.ndarray,
+    nbytes: np.ndarray,
+    reasons: List[Optional[str]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce sub-I/O finishes to completion-event-order flight columns.
+
+    A flight completes when its last sub-I/O finishes; tied flight
+    completions cannot be reproduced (the monitor's accumulation order
+    would depend on event sequence numbers) and decline the row.
+    """
+    fl_fin2d = np.maximum.reduceat(sub_fin2d, flight_offsets[:-1], axis=1)
+    if fl_fin2d.shape[1] > 1:
+        srt = np.sort(fl_fin2d, axis=1)
+        _decline(
+            reasons, np.any(srt[:, 1:] == srt[:, :-1], axis=1),
+            "tied flight completion times",
         )
-        if reasons[0] is not None:
-            raise _Fallback(reasons[0])
-        sub_fin = sub_fin2d[0]
-        schedules = [
-            (disk, s.order[0], s.submit[0], (s.fin[0], s.watts[0], s.apply_state))
-            for disk, s in zip(device.disks, served)
-            if s is not None
+    comp_order2d = np.argsort(fl_fin2d, axis=1, kind="stable")
+    fin_ev2d = np.take_along_axis(fl_fin2d, comp_order2d, axis=1)
+    resp_ev2d = np.take_along_axis(fl_fin2d - submit2d, comp_order2d, axis=1)
+    return fin_ev2d, resp_ev2d, nbytes[comp_order2d]
+
+
+def _solve(plan: _Plan, times2d: np.ndarray) -> _Rows:
+    """Solve ``P`` rows of bunch dispatch instants ``times2d`` at once.
+
+    The link chain is one flattened solve with a restart per row.  On
+    the single-phase path every row serves each member in plan order,
+    so each member's shared service plan feeds one flattened Lindley
+    solve; with RMW barriers the rows go through the two-phase fixpoint
+    (:func:`_solve_two_phase`) as its P rows.  Per member, in disk
+    order, a row declines on a non-monotone completion schedule or when
+    the member's power timeline already extends past the row's first
+    service start (the event path would raise mid-run appending to it);
+    then on tied flight completions.
+    """
+    n_rows = times2d.shape[0]
+    submit2d = np.repeat(times2d, plan.reps, axis=1)
+    device, exp = plan.device, plan.exp
+    reasons: List[Optional[str]] = [None] * n_rows
+    link_end = None
+    if exp is None:
+        svc = plan.services[0]
+        assert svc is not None
+        fin2d = _solve_rows(submit2d, svc.seconds)
+        schedules: List[Optional[_Schedule]] = [
+            _Schedule(plan.rows[0], submit2d, fin2d, svc.watts, svc.apply_state)
         ]
     else:
-        # Per-disk FCFS service in flight/plan order — the member
-        # queue's arrival order.
-        arrivals = dispatch[exp.sub_flight]
-        sub_fin = np.empty(total, dtype=np.float64)
-        schedules = [
-            (disk, rows, arrivals[rows], None)
-            for disk, rows in zip(
-                device.disks, _disk_rows(exp.disk, len(device.disks))
-            )
-            if rows.size
-        ]
-    for disk, rows, arrive, solved in schedules:
-        fin, _starts, push, pop, commit = _serve_fifo(
-            disk, arrive, sub_sector[rows], sub_nbytes[rows], sub_op[rows],
-            solved,
+        assert isinstance(device, DiskArray)
+        n_pkgs = submit2d.shape[1]
+        payload = plan.nbytes / device.enclosure.link_rate
+        d_flat, l_flat = _solve_link_chain(
+            submit2d.ravel(), device.enclosure.controller_overhead,
+            np.tile(payload, n_rows), device._link_busy_until,
+            _row_restarts(n_rows, n_pkgs),
         )
-        sub_fin[rows] = fin
-        commits.append(commit)
+        d2d = d_flat.reshape(n_rows, n_pkgs)
+        link_end = l_flat.reshape(n_rows, n_pkgs)[:, -1]
+        if exp.has_pre:
+            sub_fin2d, schedules, reasons = _solve_two_phase(plan, d2d)
+        else:
+            arrivals2d = d2d.take(exp.sub_flight, axis=1)
+            sub_fin2d = np.empty((n_rows, exp.total), dtype=np.float64)
+            schedules = []
+            for rows, svc in zip(plan.rows, plan.services):
+                if svc is None:
+                    schedules.append(None)
+                    continue
+                a2d = arrivals2d.take(rows, axis=1)
+                fin2d = _solve_rows(a2d, svc.seconds)
+                sub_fin2d[:, rows] = fin2d
+                schedules.append(
+                    _Schedule(rows, a2d, fin2d, svc.watts, svc.apply_state)
+                )
+    lead = np.full((n_rows, 1), _NEG_INF)
+    for member, s in zip(plan.members, schedules):
+        if s is None:
+            continue
+        s.starts = np.maximum(
+            s.submit, np.concatenate((lead, s.fin[:, :-1]), axis=1)
+        )
+        _decline(
+            reasons, np.any(s.fin[:, 1:] < s.fin[:, :-1], axis=1),
+            f"{member.name}: non-monotone completion schedule",
+        )
+        ends = member.timeline._ends
+        if ends:
+            _decline(
+                reasons, s.starts[:, 0] < ends[-1] - 1e-12,
+                f"{member.name}: power timeline extends past replay start",
+            )
+    if exp is None:
+        # Single-server FIFO completes in row order (finish events are
+        # scheduled in serving order, ties resolve by sequence), so the
+        # monitor saw completions exactly in row order.
+        fin, resp, nbytes = fin2d, fin2d - submit2d, plan.nbytes
+    else:
+        fin, resp, nbytes = _flight_completions(
+            sub_fin2d, exp.flight_offsets, submit2d, plan.nbytes, reasons
+        )
+    return _Rows(fin, resp, nbytes, schedules, link_end, reasons)
+
+
+def _queue_instants(
+    schedules: List[Optional[_Schedule]], i: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row ``i``'s queue-entry and queue-exit instants, merged across
+    members and sorted (interval-frame queue depths)."""
+    pushes = []
+    pops = []
+    for s in schedules:
+        if s is None:
+            continue
+        submit, starts = s.submit[i], s.starts[i]
+        queued = starts > submit
+        if bool(np.any(queued)):
+            pushes.append(submit[queued])
+            pops.append(starts[queued])
+    push = np.sort(np.concatenate(pushes)) if pushes else _EMPTY
+    pop = np.sort(np.concatenate(pops)) if pops else _EMPTY
+    return push, pop
+
+
+def _commit(plan: _Plan, rows: _Rows) -> None:
+    """Apply row 0's schedule to the live devices.
+
+    Every device, queue and power-timeline mutation the event path would
+    have made: each serving member's timeline segments, service-model
+    cursor state, completion count, head hint, queue counters and
+    high-water mark, then the array's counters and link busy-until.
+    Infallible — :func:`_solve` declined every row it could not commit.
+    """
+    for member, s in zip(plan.members, rows.schedules):
+        if s is None:
+            continue
+        submit, starts, fin = s.submit[0], s.starts[0], s.fin[0]
+        order = _row(s.order, 0)
+        member.timeline.extend_segments(starts, fin, _row(s.watts, 0))
+        s.apply_state()
+        member.completed_count += int(order.size)
+        last = order[-1]
+        member._head_hint = int(_end_sectors(plan.sector[last], plan.size[last]))
+        queued = starts > submit
+        push, pop = submit[queued], starts[queued]
+        member._queue.pushed_total += int(push.size)
+        member._queue.popped_total += int(push.size)
         if push.size:
-            pushes.append(push)
-            pops.append(pop)
-
-    # A flight completes when its last sub-I/O finishes.  Tied flight
-    # finish times would make the monitor's accumulation order depend
-    # on event sequence numbers — the closed form cannot reproduce
-    # that, so such schedules fall back.
-    fl_fin = np.maximum.reduceat(sub_fin, flight_offsets[:-1])
-    if np.unique(fl_fin).size != fl_fin.size:
-        raise _Fallback("tied flight completion times")
-    comp_order = np.argsort(fl_fin, kind="stable")
-    fin_ev = fl_fin[comp_order]
-    resp_ev = (fl_fin - submit)[comp_order]
-    bytes_ev = nbytes[comp_order]
-
-    push_all = (
-        np.sort(np.concatenate(pushes))
-        if pushes
-        else np.empty(0, dtype=np.float64)
-    )
-    pop_all = (
-        np.sort(np.concatenate(pops)) if pops else np.empty(0, dtype=np.float64)
-    )
-    n_flights = int(submit.size)
-    link_end = float(link[-1])
-
-    def commit() -> None:
-        for one in commits:
-            one()
-        device.completed_count += n_flights
-        device.subio_count += total
-        device._link_busy_until = link_end
-
-    return _Computed(
-        end=float(fin_ev[-1]),
-        fin=fin_ev,
-        resp=resp_ev,
-        nbytes=bytes_ev,
-        push=push_all,
-        pop=pop_all,
-        commit=commit,
-    )
+            ranks = np.arange(1, push.size + 1, dtype=np.int64)
+            high = int((ranks - np.searchsorted(pop, push, side="right")).max())
+            if high > member.queued_high_water:
+                member.queued_high_water = high
+    if plan.exp is not None:
+        device = plan.device
+        assert isinstance(device, DiskArray) and rows.link_end is not None
+        device.completed_count += int(plan.nbytes.size)
+        device.subio_count += plan.exp.total
+        device._link_busy_until = float(rows.link_end[0])
 
 
 # ---------------------------------------------------------------------------
-# Sampled-output synthesis
+# Per-row assembly through the real samplers
 # ---------------------------------------------------------------------------
 
 
@@ -1143,6 +1121,18 @@ def _tick_boundaries(t0: float, t_end: float, cycle: float) -> List[float]:
     return bounds
 
 
+def _row_bounds(
+    t0: float, end: float, cycle: float, stream_interval: float
+) -> Tuple[List[float], Optional[List[float]]]:
+    """A row's monitor ticks and, when streaming, its frame ticks."""
+    frames = (
+        _tick_boundaries(t0, end, stream_interval)
+        if stream_interval > 0
+        else None
+    )
+    return _tick_boundaries(t0, end, cycle), frames
+
+
 def _window_cuts(bounds: List[float], fin: np.ndarray) -> np.ndarray:
     """Completion-array cut indices per window (boundary ties close the
     window: completion events outrank sampling ticks at equal times)."""
@@ -1152,11 +1142,15 @@ def _window_cuts(bounds: List[float], fin: np.ndarray) -> np.ndarray:
 
 
 def _perf_series(
-    bounds: List[float], end: float, comp: _Computed
+    bounds: List[float],
+    end: float,
+    fin: np.ndarray,
+    resp: np.ndarray,
+    nbytes: np.ndarray,
 ) -> List[PerfSample]:
-    cuts = _window_cuts(bounds, comp.fin)
-    resp_list = comp.resp.tolist()
-    byte_prefix = np.concatenate(([0], np.cumsum(comp.nbytes)))
+    cuts = _window_cuts(bounds, fin)
+    resp_list = resp.tolist()
+    byte_prefix = np.concatenate(([0], np.cumsum(nbytes)))
     starts = bounds
     ends = bounds[1:] + [end]
     samples: List[PerfSample] = []
@@ -1181,7 +1175,11 @@ def _perf_series(
 def _frame_series(
     bounds: List[float],
     end: float,
-    comp: _Computed,
+    fin: np.ndarray,
+    resp: np.ndarray,
+    nbytes: np.ndarray,
+    push: np.ndarray,
+    pop: np.ndarray,
     power_source,
 ) -> list:
     from ..telemetry.flightrec import get_flight_recorder
@@ -1190,9 +1188,9 @@ def _frame_series(
 
     buckets = tuple(float(b) for b in DEFAULT_TIME_BUCKETS)
     barr = np.asarray(buckets, dtype=np.float64)
-    cuts = _window_cuts(bounds, comp.fin)
-    resp_list = comp.resp.tolist()
-    byte_prefix = np.concatenate(([0], np.cumsum(comp.nbytes)))
+    cuts = _window_cuts(bounds, fin)
+    resp_list = resp.tolist()
+    byte_prefix = np.concatenate(([0], np.cumsum(nbytes)))
     starts = bounds
     ends = bounds[1:] + [end]
     energies = power_source.energy_windows(
@@ -1208,14 +1206,14 @@ def _frame_series(
             continue
         if cnt:
             counts = np.bincount(
-                np.searchsorted(barr, comp.resp[a:b], side="right"),
+                np.searchsorted(barr, resp[a:b], side="right"),
                 minlength=barr.size + 1,
             )
         else:
             counts = np.zeros(barr.size + 1, dtype=np.int64)
         depth = int(
-            np.searchsorted(comp.push, e, side="right")
-            - np.searchsorted(comp.pop, e, side="right")
+            np.searchsorted(push, e, side="right")
+            - np.searchsorted(pop, e, side="right")
         )
         frame = IntervalFrame(
             index=len(frames),
@@ -1238,11 +1236,6 @@ def _frame_series(
     return frames
 
 
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class KernelOutcome:
     """Everything the session needs to assemble a ``ReplayResult``."""
@@ -1260,6 +1253,46 @@ class KernelOutcome:
     responses: Optional[np.ndarray] = None
 
 
+def _outcome(
+    rows: _Rows,
+    i: int,
+    bounds: Tuple[List[float], Optional[List[float]]],
+    source,
+    sampling_cycle: float,
+    sensor=None,
+) -> KernelOutcome:
+    """Row ``i``'s sampled outputs, with ``source`` (a committed device,
+    or a frozen view of the row) as the power source."""
+    mon_bounds, frame_bounds = bounds
+    fin, resp, nbytes = rows.fin[i], rows.resp[i], _row(rows.nbytes, i)
+    end = float(fin[-1])
+    perf_samples = _perf_series(mon_bounds, end, fin, resp, nbytes)
+    analyzer = PowerAnalyzer(source, sampling_cycle=sampling_cycle, sensor=sensor)
+    analyzer.record_windows(mon_bounds, end)
+    frames = []
+    if frame_bounds is not None:
+        push, pop = _queue_instants(rows.schedules, i)
+        frames = _frame_series(
+            frame_bounds, end, fin, resp, nbytes, push, pop, source
+        )
+    return KernelOutcome(
+        end=end,
+        perf_samples=perf_samples,
+        analyzer=analyzer,
+        frames=frames,
+        completed=sum(s.completed for s in perf_samples) + 0,
+        total_bytes=sum(s.total_bytes for s in perf_samples) + 0,
+        total_response=sum(s.total_response for s in perf_samples) + 0.0,
+        finishes=fin,
+        responses=resp,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Entry point
+# ---------------------------------------------------------------------------
+
+
 def try_kernel_replay(
     sim: Simulator,
     trace,
@@ -1271,70 +1304,35 @@ def try_kernel_replay(
 ) -> Tuple[Optional[KernelOutcome], Optional[str]]:
     """Attempt the closed-form replay of ``trace`` against ``device``.
 
-    Returns ``(outcome, None)`` on success — with all device, queue,
-    and power-timeline state committed and the simulation clock
-    advanced to the final completion — or ``(None, reason)`` when the
-    configuration does not qualify, in which case *nothing* has been
+    The pipeline on one dispatch row starting at ``sim.now``, then
+    :func:`_commit`.  Returns ``(outcome, None)`` on success — with all
+    device, queue, and power-timeline state committed and the simulation
+    clock advanced to the final completion — or ``(None, reason)`` when
+    the configuration does not qualify, in which case *nothing* has been
     mutated and the caller must run the event engine.
     """
-    from ..telemetry import get_registry
-
-    reason = _structure_reason(device)
-    if reason is not None:
-        return None, reason
-    if get_registry().enabled:
-        return None, "telemetry registry enabled"
-    if not isinstance(trace, PackedTrace):
-        return None, "object-trace replay"
-    if sim.pending:
-        return None, "simulator calendar not empty"
-    reason = _qualify_device(device, trace)
+    reason = _qualify(trace, device)
+    if reason is None and sim.pending:
+        reason = "simulator calendar not empty"
     if reason is not None:
         return None, reason
 
     t0 = sim.now
+    cycle = float(sampling_cycle)
     try:
-        if isinstance(device, DiskArray):
-            comp = _compute_array(trace, device, t0)
-        else:
-            comp = _compute_single(trace, device, t0)  # type: ignore[arg-type]
-        mon_bounds = _tick_boundaries(t0, comp.end, float(sampling_cycle))
-        frame_bounds = (
-            _tick_boundaries(t0, comp.end, float(stream_interval))
-            if stream_interval > 0
-            else None
+        plan = _prepare(trace, device)
+        rows = _solve(plan, (t0 + (trace.timestamps - trace.timestamps[0]))[None])
+        if rows.reasons[0] is not None:
+            raise _Fallback(rows.reasons[0])
+        bounds = _row_bounds(
+            t0, float(rows.fin[0, -1]), cycle, float(stream_interval)
         )
     except _Fallback as exc:
         return None, exc.reason
 
     # ---- Commit: infallible from here on. ----
-    comp.commit()
-    perf_samples = _perf_series(mon_bounds, comp.end, comp)
+    _commit(plan, rows)
     source = device.meter if isinstance(device, DiskArray) else device
-    analyzer = PowerAnalyzer(
-        source, sampling_cycle=float(sampling_cycle), sensor=sensor
-    )
-    analyzer.record_windows(mon_bounds, comp.end)
-    frames = (
-        _frame_series(frame_bounds, comp.end, comp, source)
-        if frame_bounds is not None
-        else []
-    )
-    completed = sum(s.completed for s in perf_samples) + 0
-    total_bytes = sum(s.total_bytes for s in perf_samples) + 0
-    total_response = sum(s.total_response for s in perf_samples) + 0.0
-    sim.advance_to(comp.end)
-    return (
-        KernelOutcome(
-            end=comp.end,
-            perf_samples=perf_samples,
-            analyzer=analyzer,
-            frames=frames,
-            completed=completed,
-            total_bytes=total_bytes,
-            total_response=total_response,
-            finishes=comp.fin,
-            responses=comp.resp,
-        ),
-        None,
-    )
+    outcome = _outcome(rows, 0, bounds, source, cycle, sensor)
+    sim.advance_to(outcome.end)
+    return outcome, None

@@ -82,23 +82,17 @@ def kernel_sweep_eligible(trace, device_factory, *, stream_interval=None) -> boo
     """Probe whether per-point replays of ``trace`` would take the kernel.
 
     Builds one throwaway device from ``device_factory`` and runs the
-    same qualification the replay session does — packed trace, no
-    telemetry registry, kernel-capable device/array.  Sweep drivers use
+    qualification point replay and the grid share
+    (:func:`repro.sim.kernel._qualify`) — kernel-capable device/array,
+    no telemetry registry, packed trace.  Sweep drivers use
     the verdict to keep ``parallel="auto"`` in-process for sweeps whose
     points are analytical-kernel fast (pool startup would dominate).
     The probe is conservative: any error means "not eligible".
     """
-    from ..trace.packed import PackedTrace
-
-    if not isinstance(trace, PackedTrace) or len(trace) == 0:
-        return False
     try:
-        from ..sim.kernel import _qualify_device
-        from ..telemetry import get_registry
+        from ..sim.kernel import _qualify
 
-        if get_registry().enabled:
-            return False
-        return _qualify_device(device_factory(), trace) is None
+        return len(trace) > 0 and _qualify(trace, device_factory()) is None
     except Exception:
         return False
 

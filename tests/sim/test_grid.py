@@ -23,13 +23,7 @@ from repro.errors import ReplayError
 from repro.replay.session import replay_trace
 from repro.sim import grid as grid_mod
 from repro.sim import kernel
-from repro.sim.kernel import (
-    _chain_scalar,
-    _lindley_scalar,
-    _row_restarts,
-    _solve_lindley,
-    _solve_link_chain,
-)
+from repro.sim.kernel import _row_restarts, _solve_lindley, _solve_link_chain
 from repro.storage.array import DiskArray
 from repro.storage.hdd import HardDiskDrive
 from repro.storage.raid import RaidLevel
@@ -38,6 +32,8 @@ from repro.storage.ssd import SolidStateDrive
 from repro.trace.packed import pack
 from repro.trace.record import READ, WRITE, Bunch, IOPackage, Trace
 from repro.workload.parallel import run_grid
+
+from .oracles import chain_scalar, lindley_scalar
 
 _NEG_INF = float("-inf")
 
@@ -89,14 +85,13 @@ def _flat(submit2d, sv):
 def scalar_calls(monkeypatch):
     """Record every call that reaches a solver's scalar fallback."""
     calls = []
-    for name in ("_lindley_scalar", "_chain_scalar"):
-        real = getattr(kernel, name)
+    real = kernel._recurrence_scalar
 
-        def counted(*args, _real=real, _name=name):
-            calls.append(_name)
-            return _real(*args)
+    def counted(*args):
+        calls.append("_recurrence_scalar")
+        return real(*args)
 
-        monkeypatch.setattr(kernel, name, counted)
+    monkeypatch.setattr(kernel, "_recurrence_scalar", counted)
     return calls
 
 
@@ -109,11 +104,11 @@ class TestGridLindleySolver:
             submit, sv_flat, sv2d, restart = _flat(submit2d, sv)
             got = _solve_lindley(submit, sv_flat, prev, restart)
             assert np.array_equal(
-                got, _lindley_scalar(submit, sv_flat, prev, restart)
+                got, lindley_scalar(submit, sv_flat, prev, restart)
             )
             got = got.reshape(submit2d.shape)
             for i in range(submit2d.shape[0]):
-                expect = _lindley_scalar(submit2d[i], sv2d[i], prev)
+                expect = lindley_scalar(submit2d[i], sv2d[i], prev)
                 assert np.array_equal(got[i], expect), f"row {i}"
                 assert np.array_equal(
                     _solve_lindley(submit2d[i], sv2d[i], prev), expect
@@ -133,7 +128,7 @@ class TestGridLindleySolver:
         got = _solve_lindley(submit, sv_flat, 0.0, restart).reshape(7, n)
         for i in range(7):
             assert np.array_equal(
-                got[i], _lindley_scalar(submit2d[i], sv, 0.0)
+                got[i], lindley_scalar(submit2d[i], sv, 0.0)
             )
         assert scalar_calls == []
 
@@ -167,7 +162,7 @@ class TestGridLindleySolver:
         got = _solve_lindley(submit, sv, prev, restart)
         at = 0
         for m in lens:
-            expect = _lindley_scalar(submit[at:at + m], sv[at:at + m], prev)
+            expect = lindley_scalar(submit[at:at + m], sv[at:at + m], prev)
             assert np.array_equal(got[at:at + m], expect)
             at += m
 
@@ -181,12 +176,12 @@ class TestGridLinkChainSolver:
         for t2d, p in _row_matrix(rng, 161, 8):
             t, p_flat, p2d, restart = _flat(t2d, p * 1e-3)
             gd, gl = _solve_link_chain(t, c, p_flat, prev, restart)
-            sd, sl = _chain_scalar(t, c, p_flat, prev, restart)
+            sd, sl = chain_scalar(t, c, p_flat, prev, restart)
             assert np.array_equal(gd, sd)
             assert np.array_equal(gl, sl)
             gd, gl = gd.reshape(t2d.shape), gl.reshape(t2d.shape)
             for i in range(t2d.shape[0]):
-                ed, el = _chain_scalar(t2d[i], c, p2d[i], prev)
+                ed, el = chain_scalar(t2d[i], c, p2d[i], prev)
                 assert np.array_equal(gd[i], ed), f"row {i}"
                 assert np.array_equal(gl[i], el), f"row {i}"
                 rd, rl = _solve_link_chain(t2d[i], c, p2d[i], prev)
@@ -205,7 +200,7 @@ class TestGridLinkChainSolver:
         gd, gl = _solve_link_chain(t, 5e-5, p_flat, 0.0, restart)
         gd, gl = gd.reshape(6, n), gl.reshape(6, n)
         for i in range(6):
-            ed, el = _chain_scalar(t2d[i], 5e-5, p, 0.0)
+            ed, el = chain_scalar(t2d[i], 5e-5, p, 0.0)
             assert np.array_equal(gd[i], ed)
             assert np.array_equal(gl[i], el)
         assert scalar_calls == []

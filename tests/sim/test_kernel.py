@@ -14,12 +14,7 @@ import numpy as np
 import pytest
 
 from repro.replay.session import replay_trace
-from repro.sim.kernel import (
-    _chain_scalar,
-    _lindley_scalar,
-    _solve_lindley,
-    _solve_link_chain,
-)
+from repro.sim.kernel import _solve_lindley, _solve_link_chain
 from repro.storage.array import DiskArray
 from repro.storage.hdd import HardDiskDrive
 from repro.storage.raid import RaidLevel
@@ -27,6 +22,8 @@ from repro.storage.specs import SEAGATE_7200_12
 from repro.storage.ssd import SolidStateDrive
 from repro.trace.packed import PACKED_PACKAGE_DTYPE, PackedTrace, pack
 from repro.trace.record import READ, WRITE, Bunch, IOPackage, Trace
+
+from .oracles import chain_scalar, lindley_scalar
 
 _NEG_INF = float("-inf")
 
@@ -68,7 +65,7 @@ class TestLindleySolver:
     def test_bit_identical_to_scalar_reference(self, seed, prev):
         rng = np.random.default_rng(seed)
         for submit, sv in _regimes(rng, 257):
-            expect = _lindley_scalar(submit, sv, prev)
+            expect = lindley_scalar(submit, sv, prev)
             got = _solve_lindley(submit, sv, prev)
             assert np.array_equal(got, expect)
 
@@ -79,7 +76,7 @@ class TestLindleySolver:
         one_s = np.array([0.25])
         assert np.array_equal(
             _solve_lindley(one_t, one_s, 5.0),
-            _lindley_scalar(one_t, one_s, 5.0),
+            lindley_scalar(one_t, one_s, 5.0),
         )
 
 
@@ -90,7 +87,7 @@ class TestLinkChainSolver:
         rng = np.random.default_rng(seed)
         c = 5e-5
         for t, p in _regimes(rng, 193):
-            ed, el = _chain_scalar(t, c, p * 1e-3, prev)
+            ed, el = chain_scalar(t, c, p * 1e-3, prev)
             gd, gl = _solve_link_chain(t, c, p * 1e-3, prev)
             assert np.array_equal(gd, ed)
             assert np.array_equal(gl, el)
@@ -185,7 +182,7 @@ class TestFallbackReasons:
         # structure is checked before any member probe.
         device.disks[2]._busy = True
         assert (
-            _qualify_device(device, pack(_grid_trace()))
+            _qualify_device(device)
             == "array degraded or rebuilding"
         )
 
@@ -195,7 +192,7 @@ class TestFallbackReasons:
         device = _raid5()
         device.disks[1]._busy = True
         device.disks[3]._busy = True
-        reason = _qualify_device(device, pack(_grid_trace()))
+        reason = _qualify_device(device)
         assert reason == "k1: device busy at replay start"
 
     def test_unsorted_timestamps_fall_back(self):
@@ -301,5 +298,165 @@ class TestDeviceEndStateParity:
             dev = _raid5()
             replay_trace(packed, dev, 1.0, engine=engine)
             return _end_state(dev)
+
+        assert run("kernel") == run("event")
+
+
+# ---------------------------------------------------------------------------
+# One decline order: point replay and the grid report the same reason
+
+
+def _raid1():
+    spec = dataclasses.replace(SEAGATE_7200_12, capacity_bytes=16 * 1024 * 1024)
+    return DiskArray(
+        [HardDiskDrive(f"m{i}", spec) for i in range(2)],
+        RaidLevel.RAID1,
+        name="k-raid1",
+    )
+
+
+def _degraded_raid5():
+    device = _raid5()
+    device.fail_disk(0)
+    return device
+
+
+def _busy_member_raid5():
+    device = _raid5()
+    device.disks[1]._busy = True
+    return device
+
+
+def _jittery_hdd():
+    spec = dataclasses.replace(SEAGATE_7200_12, capacity_bytes=16 * 1024 * 1024)
+    return HardDiskDrive("k-hdd", spec, rotational_jitter=True, seed=3)
+
+
+def _elevator_hdd():
+    from repro.storage.queueing import ElevatorQueue
+
+    spec = dataclasses.replace(SEAGATE_7200_12, capacity_bytes=16 * 1024 * 1024)
+    return HardDiskDrive("k-hdd", spec, discipline=ElevatorQueue())
+
+
+def _beyond_capacity_trace():
+    far = _hdd().capacity_sectors
+    bunches = [
+        Bunch(i / 32, [IOPackage(far - 4 if i == 5 else 64 * i, 4096, READ)])
+        for i in range(12)
+    ]
+    return pack(Trace(bunches, label="kernel-unit"))
+
+
+def _unsorted_trace():
+    packed = pack(_grid_trace())
+    ts = packed.timestamps.copy()
+    ts[2], ts[3] = ts[3], ts[2]
+    return PackedTrace(ts, packed.offsets, packed.packages, label="x", validate=False)
+
+
+DECLINES = {
+    "object-trace": (_grid_trace, _hdd, False),
+    "object-trace-telemetry": (_grid_trace, _hdd, True),
+    "telemetry": (lambda: pack(_grid_trace()), _hdd, True),
+    "degraded-raid5": (lambda: pack(_grid_trace()), _degraded_raid5, False),
+    "raid1": (lambda: pack(_grid_trace()), _raid1, False),
+    "jittery-hdd": (lambda: pack(_grid_trace()), _jittery_hdd, False),
+    "busy-member": (lambda: pack(_grid_trace()), _busy_member_raid5, False),
+    "non-fifo-queue": (lambda: pack(_grid_trace()), _elevator_hdd, False),
+    "beyond-capacity": (_beyond_capacity_trace, _hdd, False),
+    "unsorted-timestamps": (_unsorted_trace, _hdd, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECLINES))
+def test_point_and_grid_decline_with_one_reason(case):
+    """Every designed decline reads the same from point replay and from
+    a one-cell grid: one qualification function, one decline order."""
+    from repro.sim.engine import Simulator
+    from repro.sim.grid import GridCell, evaluate_grid_cells
+    from repro.sim.kernel import try_kernel_replay
+    from repro.telemetry import set_enabled
+
+    trace_fn, factory, telemetry = DECLINES[case]
+    set_enabled(telemetry)
+    outcome, point = try_kernel_replay(
+        Simulator(), trace_fn(), factory(), sampling_cycle=1.0
+    )
+    grid = evaluate_grid_cells(trace_fn(), factory(), [GridCell(1.0, 1.0)])
+    assert outcome is None and point is not None
+    assert grid[0].result is None
+    assert point == grid[0].unfused
+
+
+# ---------------------------------------------------------------------------
+# Warm devices: a second replay on state an earlier run left behind
+
+
+def _mixed_write_trace(n, *, t0=0.0):
+    bunches = [
+        Bunch(
+            t0 + i / 32,
+            [
+                IOPackage(64 * (i * 3 + j), 4096, WRITE if (i + j) % 2 else READ)
+                for j in range(3)
+            ],
+        )
+        for i in range(n)
+    ]
+    return pack(Trace(bunches, label="kernel-warm"))
+
+
+def _capture_key(capture):
+    return (
+        capture.end,
+        capture.finishes.tolist(),
+        capture.responses.tolist(),
+        [
+            (m.name, m.starts.tolist(), m.ends.tolist(), m.watts.tolist(),
+             m.base_watts)
+            for m in capture.members
+        ],
+        capture.overhead_watts,
+        capture.reads, capture.writes, capture.read_bytes, capture.write_bytes,
+    )
+
+
+def _result_key(result):
+    payload = result.to_dict()
+    payload["metadata"] = {
+        k: v for k, v in payload["metadata"].items() if not k.startswith("engine")
+    }
+    return payload
+
+
+class TestWarmDeviceParity:
+    @pytest.mark.parametrize("factory", [_hdd, _ssd, _raid5])
+    def test_second_run_on_a_warm_device(self, factory):
+        """Point replay is the only closed-form path that starts from
+        state an earlier run left: prior timeline segments, a busy link
+        (``_link_busy_until``) and warm head / stream cursors.  A write
+        run followed by a read run at load 0.7 on the same device and
+        simulator must match the event engine in both results, both
+        captures and the device end state."""
+        from repro.replay.capture import CaptureSink
+        from repro.replay.session import ReplaySession
+        from repro.sim.engine import Simulator
+
+        writes = _mixed_write_trace(40)
+        reads = pack(_grid_trace(n=40, fan=3))
+
+        def run(engine):
+            dev = factory()
+            sim = Simulator()
+            keys = []
+            for trace, load in ((writes, 1.0), (reads, 0.7)):
+                sink = CaptureSink()
+                result = ReplaySession(dev, engine=engine, capture=sink).run(
+                    trace, load, sim=sim
+                )
+                assert result.metadata["engine"] == engine
+                keys.append((_result_key(result), _capture_key(sink.capture)))
+            return keys, _end_state(dev)
 
         assert run("kernel") == run("event")
